@@ -75,14 +75,28 @@ def _load_json(path, what):
         raise ConfigInvalid(f"{what} is not valid JSON: {err}", what) from err
 
 
-def _load_path(path_file):
-    spec = _load_json(path_file, "path")
+def _from_spec(parse, spec, what, key_path):
+    """parse(spec), with any malformed-input error turned into ConfigInvalid."""
     try:
-        if spec.get("pieces") and "harmonic" in spec["pieces"][0]:
-            return ln.TorusSymplecticPath.from_json(spec)
-        return HamiltonianPath.from_json(spec)
-    except (KeyError, TypeError, ValueError, HoferLabError) as err:
-        raise ConfigInvalid(f"malformed path spec: {err}", "path") from err
+        return parse(spec)
+    except KeyError as err:
+        raise ConfigInvalid(f"{what} is missing key {err}", key_path) from err
+    except (AttributeError, TypeError, ValueError, HoferLabError) as err:
+        raise ConfigInvalid(f"malformed {what}: {err}", key_path) from err
+
+
+def _path_from_json(spec):
+    if spec.get("pieces") and "harmonic" in spec["pieces"][0]:
+        return ln.TorusSymplecticPath.from_json(spec)
+    return HamiltonianPath.from_json(spec)
+
+
+def _load_path(path_file):
+    return _from_spec(_path_from_json, _load_json(path_file, "path"), "path spec", "path")
+
+
+def _load_grid(grid_file):
+    return _from_spec(Grid.from_json, _load_json(grid_file, "grid"), "grid spec", "grid")
 
 
 def _resolve_path_argument(args):
@@ -93,7 +107,7 @@ def _resolve_path_argument(args):
                                 "hamiltonian")
         if not args.grid:
             raise ConfigInvalid("--hamiltonian needs --grid for the domain", "grid")
-        grid = Grid.from_json(_load_json(args.grid, "grid"))
+        grid = _load_grid(args.grid)
         try:
             from . import expr as ex
             from .hampath import autonomous_path
@@ -111,7 +125,7 @@ def cmd_length(args):
     if args.hamiltonian or not args.grid:
         grid = path.domain
     else:
-        grid = Grid.from_json(_load_json(args.grid, "grid"))
+        grid = _load_grid(args.grid)
     if args.kind != "hl" and isinstance(path, ln.TorusSymplecticPath):
         raise ConfigInvalid("split torus paths support kind=hl only", "kind")
     if args.kind == "k":
@@ -137,9 +151,10 @@ def cmd_flow(args):
     path = _resolve_path_argument(args)
     try:
         with open(args.cloud, "r", encoding="utf-8") as fh:
-            cloud = fl.TracerCloud.from_csv(fh.read())
+            text = fh.read()
     except FileNotFoundError as err:
         raise ConfigInvalid(f"cloud file not found: {args.cloud}", "cloud") from err
+    cloud = _from_spec(fl.TracerCloud.from_csv, text, f"cloud file {args.cloud}", "cloud")
     fm = fl.integrate(path, cloud, args.steps)
     if args.out_prefix:
         with open(args.out_prefix + ".final.csv", "w", encoding="utf-8") as fh:
@@ -182,11 +197,9 @@ def cmd_shift(args):
 def cmd_commutator(args):
     path = _load_path(args.path)
     spec = _load_json(args.theta, "theta")
-    try:
-        theta = AffineSymplectic(np.array(spec["linear"], dtype=float),
-                                 np.array(spec["shift"], dtype=float))
-    except (KeyError, ValueError) as err:
-        raise ConfigInvalid(f"malformed affine map: {err}", "theta") from err
+    theta = _from_spec(lambda s: AffineSymplectic(np.array(s["linear"], dtype=float),
+                                                  np.array(s["shift"], dtype=float)),
+                       spec, "affine map", "theta")
     rep = commutator_bound_report(path, theta, args.k)
     _emit(rep.to_json(), args.out)
     return EXIT_OK if rep.ok() else EXIT_CHECK_FAILED
@@ -210,7 +223,10 @@ def cmd_disjoint(args):
     for key in ("paths", "boxes", "k"):
         if key not in cfg:
             raise ConfigInvalid(f"missing key {key!r}", f"$.{key}")
-    paths = [HamiltonianPath.from_json(p) for p in cfg["paths"]]
+    if not cfg["paths"]:
+        raise ConfigInvalid("'paths' must list at least one path", "$.paths")
+    paths = [_from_spec(HamiltonianPath.from_json, p, "path spec", f"$.paths[{i}]")
+             for i, p in enumerate(cfg["paths"])]
     boxes = [tuple(map(tuple, b)) for b in cfg["boxes"]]
     rep = disjoint_bound_check(paths, boxes, int(cfg["k"]))
     _emit(rep.to_json(), args.out)
@@ -219,7 +235,8 @@ def cmd_disjoint(args):
 
 def cmd_snowflake(args):
     if os.path.exists(args.group):
-        group = sf.group_from_file(args.group)
+        group = _from_spec(sf.group_from_file, args.group, f"group file {args.group}",
+                           "group")
     else:
         try:
             group = sf.builtin_group(args.group)
@@ -227,7 +244,8 @@ def cmd_snowflake(args):
             raise ConfigInvalid(str(err), "group") from err
         if args.weights:
             w = _load_json(args.weights, "weights")
-            group = group.with_weights(np.array(w, dtype=float))
+            group = _from_spec(lambda v: group.with_weights(np.array(v, dtype=float)), w,
+                               f"weights file {args.weights}", "weights")
         elif args.seed is not None:
             rng = np.random.default_rng(args.seed)
             w = rng.uniform(0.05, 4.0, group.order)

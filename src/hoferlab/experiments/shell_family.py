@@ -30,8 +30,7 @@ from .. import expr as ex
 from ..errors import ShellUnresolved
 from ..grid import Grid
 from ..hampath import HamiltonianPath, autonomous_path
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(5)
+from ..lengths import gauss_legendre_panels
 
 
 @dataclass(frozen=True)
@@ -72,13 +71,7 @@ def _radial_rule(spec: ShellFamilySpec, panels: int):
     if width > 1.0 / (8.0 * spec.m) + 1e-15:
         raise ShellUnresolved(
             f"radial panel width {width:.3g} exceeds 1/(8m) = {1.0 / (8 * spec.m):.3g}")
-    edges = np.linspace(lo, hi, panels + 1)
-    nodes, weights = [], []
-    for a, b in zip(edges, edges[1:]):
-        half = 0.5 * (b - a)
-        nodes.append(0.5 * (a + b) + half * _GL_NODES)
-        weights.append(half * _GL_WEIGHTS)
-    return np.concatenate(nodes), np.concatenate(weights)
+    return gauss_legendre_panels(lo, hi, panels)
 
 
 def shell_lp_norm(spec: ShellFamilySpec, derivative: ex.Expression, p: float,
@@ -94,9 +87,7 @@ def shell_lp_norm(spec: ShellFamilySpec, derivative: ex.Expression, p: float,
         X = cx + R * np.cos(TH)
         Y = 2.0 * t + R * np.sin(TH)
         env = {"x1": X.ravel(), "y1": Y.ravel(), "t": float(t)}
-        vals = ex.eval_env(derivative, env)
-        if np.ndim(vals) == 0:
-            vals = np.full(X.size, float(vals))
+        vals = ex.eval_array(derivative, env, X.size)
         integrand = (np.abs(vals) ** p).reshape(R.shape) * R
         total += float(np.einsum("r,rt->", w_rho, integrand)) * w_theta
     return total ** (1.0 / p)
@@ -168,9 +159,7 @@ def shell_decay_report(m_values, k: int, p: float, orders=None,
     for m in m_values:
         spec = ShellFamilySpec(m, closed_mode=closed_mode)
         h = spec.hamiltonian()
-        derivs = [h]
-        for _ in range(max(orders)):
-            derivs.append(ex.diff(derivs[-1], "t"))
+        derivs = ex.time_derivatives(h, max(orders))
         total = 0.0
         for i in orders:
             norm_at = lambda t: shell_lp_norm(spec, derivs[i], p, t,

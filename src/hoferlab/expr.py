@@ -468,16 +468,21 @@ def diff(e, name):
     raise GradientUnavailable(f"no derivative rule for node {type(e).__name__}")
 
 
+def time_derivatives(e, k):
+    """[e, de/dt, ..., d^k e/dt^k], each entry differentiated from the one before."""
+    out = [e]
+    for _ in range(k):
+        out.append(diff(out[-1], "t"))
+    return out
+
+
 def diff_t(e, order=1, max_order=MAX_DIFF_ORDER):
     """i-th time derivative; diff_t(e, 0) is e itself."""
     if order < 0:
         raise ValueError("order must be >= 0")
     if order > max_order:
         raise ValueError(f"order {order} exceeds the configured maximum {max_order}")
-    out = e
-    for _ in range(order):
-        out = diff(out, "t")
-    return out
+    return time_derivatives(e, order)[-1]
 
 
 # --- cutoff evaluation via truncated Taylor jets ---
@@ -643,9 +648,18 @@ def evaluate(e, points, t):
     need = spatial_dimension(e)
     if need > pts.shape[1]:
         raise UnknownIdentifier(f"expression needs dimension {need}, points have {pts.shape[1]}")
+    return eval_array(e, env, pts.shape[0])
+
+
+def eval_array(e, env, n):
+    """Values of ``e`` under ``env`` as a float array of length ``n``.
+
+    An expression that uses none of the env's arrays evaluates to a scalar,
+    which is repeated ``n`` times.
+    """
     vals = eval_env(e, env)
     if np.ndim(vals) == 0:
-        return np.full(pts.shape[0], float(vals))
+        return np.full(n, float(vals))
     return np.asarray(vals, dtype=float)
 
 

@@ -12,7 +12,6 @@ do not.
 from __future__ import annotations
 
 import io
-import json
 import warnings
 from dataclasses import dataclass
 
@@ -124,12 +123,8 @@ class Field:
 
 def sample(expression, grid, t):
     """Evaluate an expression on every grid point at time t."""
-    env = grid.point_env(t)
-    vals = ex.eval_env(expression, env)
     n = int(np.prod(grid.resolution))
-    if np.ndim(vals) == 0:
-        vals = np.full(n, float(vals))
-    return Field(np.asarray(vals, dtype=float), grid)
+    return Field(ex.eval_array(expression, grid.point_env(t), n), grid)
 
 
 def oscillation(f: Field) -> float:
@@ -210,8 +205,3 @@ def field_from_csv(text: str, grid: Grid) -> Field:
     lines = [ln for ln in text.strip().splitlines() if ln.strip()]
     vals = np.array([float(ln.rsplit(",", 1)[1]) for ln in lines[1:]])
     return Field(vals, grid)
-
-
-def grid_from_file(path) -> Grid:
-    with open(path, "r", encoding="utf-8") as fh:
-        return Grid.from_json(json.load(fh))

@@ -231,9 +231,7 @@ def reparametrize(f: HamiltonianPath, s, s_prime=None, samples=257) -> Hamiltoni
         raise NotMonotone(f"time change must fix 0 and 1, got s(0)={s0}, s(1)={s1}")
     for sp, dp in zip(s_pieces, d_pieces):
         ts = np.linspace(sp.t_start, sp.t_end, samples)
-        dv = ex.eval_env(dp.hamiltonian, {"t": ts})
-        if np.ndim(dv) == 0:
-            dv = np.full_like(ts, float(dv))
+        dv = ex.eval_array(dp.hamiltonian, {"t": ts}, samples)
         if dv.min() < -1e-12:
             raise NotMonotone(f"s' reaches {dv.min()} on [{sp.t_start}, {sp.t_end}]")
 
@@ -271,11 +269,6 @@ def conjugate(f: HamiltonianPath, theta: AffineSymplectic) -> HamiltonianPath:
     return replace(f, pieces=pieces)
 
 
-def right_compose(f: HamiltonianPath, _fixed_map=None) -> HamiltonianPath:
-    """Right composition with a fixed map keeps the Hamiltonian family; no-op."""
-    return f
-
-
 def _common_division(paths):
     cuts = sorted({b for f in paths for b in f.breakpoints})
     merged = [cuts[0]]
@@ -295,9 +288,7 @@ def validate_disjoint_supports(paths, boxes, grid, rel_tol=1e-9, t_samples=5):
             continue
         for tq in np.linspace(0.0, 1.0, t_samples):
             h = f.hamiltonian_at(min(tq, 1.0 - 1e-12))
-            vals = ex.eval_env(h, ex.point_env(pts, tq))
-            if np.ndim(vals) == 0:
-                vals = np.full(pts.shape[0], float(vals))
+            vals = ex.eval_array(h, ex.point_env(pts, tq), pts.shape[0])
             scale = max(vals.max() - vals.min(), 1e-300)
             if np.abs(vals[outside]).max() > rel_tol * scale:
                 raise SupportOverlap(

@@ -23,7 +23,6 @@ the lattice.
 from __future__ import annotations
 
 import io
-import json
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -31,8 +30,8 @@ import numpy as np
 from . import expr as ex
 from . import grid as gridmod
 from .errors import GeometryError
-from .grid import Field, Grid
-from .hampath import HamiltonianPath, Piece
+from .grid import Grid
+from .hampath import HamiltonianPath
 
 UPPER_BOUND_NOTE = ("path length only: an upper bound for the infimum-over-paths "
                     "(quasi)metric, which is not computed")
@@ -67,9 +66,8 @@ class LengthReport:
         return out.getvalue()
 
 
-def _gl_panels(a, b, n_nodes):
+def gauss_legendre_panels(a, b, panels):
     """Composite Gauss-Legendre nodes/weights on [a, b], 5 nodes per panel."""
-    panels = max(2, int(np.ceil(n_nodes / 5)))
     edges = np.linspace(a, b, panels + 1)
     nodes, weights = [], []
     for lo, hi in zip(edges, edges[1:]):
@@ -79,25 +77,49 @@ def _gl_panels(a, b, n_nodes):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def _time_derivatives(piece: Piece, k: int):
-    out = [piece.hamiltonian]
-    for _ in range(k):
-        out.append(ex.diff(out[-1], "t"))
-    return out
+def _time_rule(piece, time_samples):
+    """Time quadrature on one piece with at least ``time_samples`` nodes."""
+    panels = max(2, int(np.ceil(time_samples / 5)))
+    return gauss_legendre_panels(piece.t_start, piece.t_end, panels)
 
 
-def _spatial_values(expression, env, n_points):
-    vals = ex.eval_env(expression, env)
-    if np.ndim(vals) == 0:
-        return np.full(n_points, float(vals))
-    return vals
+def _size_table(expressions, pts, times, size):
+    """(times x expressions) table of ``size`` of each expression sampled on ``pts``.
+
+    Every length functional is a reduction of this table; one (N,) array
+    is alive per evaluation.
+    """
+    table = np.empty((len(times), len(expressions)))
+    for j, t in enumerate(times):
+        env = ex.point_env(pts, t)
+        for i, e in enumerate(expressions):
+            table[j, i] = size(ex.eval_array(e, env, pts.shape[0]))
+    return table
+
+
+def _oscillation(vals):
+    return vals.max() - vals.min()
+
+
+def _time_integral(weights, sizes):
+    """Quadrature of a (nodes x orders) size table, accumulated node by node."""
+    row = np.zeros(sizes.shape[1])
+    for w, row_sizes in zip(weights, sizes):
+        row += w * row_sizes
+    return tuple(float(v) for v in row)
+
+
+def _report(per_piece, combine, quadrature, kind):
+    """Per-order values combine the per-piece rows; the total sums the orders."""
+    per_order = tuple(float(v) for v in combine(per_piece, axis=0))
+    return LengthReport(float(sum(per_order)), per_order, tuple(per_piece),
+                        quadrature, kind=kind)
 
 
 def length_k(f: HamiltonianPath, k: int, grid: Grid = None,
              time_samples: int = 10, check_support=True) -> LengthReport:
     """Sum_{i<=k} integral of osc_x(d^i H / dt^i) dt over each piece."""
-    return _integral_length(f, k, grid, time_samples, norm="osc",
-                            check_support=check_support)
+    return _integral_length(f, k, grid, time_samples, _oscillation, "k", check_support)
 
 
 def length_kp(f: HamiltonianPath, k: int, p: float, grid: Grid = None,
@@ -105,44 +127,32 @@ def length_kp(f: HamiltonianPath, k: int, p: float, grid: Grid = None,
     """Sum_{i<=k} integral of the spatial L_p norm of d^i H / dt^i."""
     if p <= 0:
         raise ValueError("p must be > 0")
-    return _integral_length(f, k, grid, time_samples, norm="lp", p=p)
+    vol = (grid or f.domain).cell_volume
+
+    def lp(vals):
+        return (float(np.sum(np.abs(vals) ** p)) * vol) ** (1.0 / p)
+
+    return _integral_length(f, k, grid, time_samples, lp, "kp", p=p)
 
 
-def _integral_length(f, k, grid, time_samples, norm, p=None, check_support=False):
+def _integral_length(f, k, grid, time_samples, size, kind, check_support=False,
+                     **quad_extra):
     if k < 0:
         raise ValueError("k must be >= 0")
     if time_samples < 8:
         raise ValueError("need at least 8 time samples per piece")
     grid = grid or f.domain
     pts = grid.points()
-    n_pts = pts.shape[0]
-    vol = grid.cell_volume
     per_piece = []
     for piece in f.pieces:
-        derivs = _time_derivatives(piece, k)
-        nodes, weights = _gl_panels(piece.t_start, piece.t_end, time_samples)
         if check_support:
-            mid_env = ex.point_env(pts, 0.5 * (piece.t_start + piece.t_end))
-            gridmod.check_support_margin(
-                Field(_spatial_values(piece.hamiltonian, mid_env, n_pts), grid))
-        row = np.zeros(k + 1)
-        for t, w in zip(nodes, weights):
-            env = ex.point_env(pts, t)
-            for i, d in enumerate(derivs):
-                vals = _spatial_values(d, env, n_pts)
-                if norm == "osc":
-                    size = vals.max() - vals.min()
-                else:
-                    size = (float(np.sum(np.abs(vals) ** p)) * vol) ** (1.0 / p)
-                row[i] += w * size
-        per_piece.append(tuple(float(v) for v in row))
-    per_order = tuple(float(s) for s in np.sum(per_piece, axis=0))
-    kind = "kp" if norm == "lp" else "k"
-    quad = {"time_samples": int(time_samples), "scheme": "gauss-legendre-5"}
-    if p is not None:
-        quad["p"] = p
-    return LengthReport(float(sum(per_order)), per_order,
-                        tuple(per_piece), quad, kind=kind)
+            mid = 0.5 * (piece.t_start + piece.t_end)
+            gridmod.check_support_margin(gridmod.sample(piece.hamiltonian, grid, mid))
+        nodes, weights = _time_rule(piece, time_samples)
+        sizes = _size_table(ex.time_derivatives(piece.hamiltonian, k), pts, nodes, size)
+        per_piece.append(_time_integral(weights, sizes))
+    quad = {"time_samples": int(time_samples), "scheme": "gauss-legendre-5", **quad_extra}
+    return _report(per_piece, np.sum, quad, kind)
 
 
 def two_resolution(f: HamiltonianPath, k: int, grid: Grid, time_samples: int = 10):
@@ -176,24 +186,17 @@ def coarse_length_k(f: HamiltonianPath, k: int, grid: Grid = None,
         raise ValueError("need at least 8 time samples")
     grid = grid or f.domain
     pts = grid.points()
-    n_pts = pts.shape[0]
     lattice = np.linspace(0.0, 1.0, time_samples)
     per_piece = []
     for piece in f.pieces:
-        derivs = _time_derivatives(piece, k)
         sel = lattice[(lattice >= piece.t_start) & (lattice <= piece.t_end)]
         ts = np.unique(np.concatenate([[piece.t_start], sel, [piece.t_end]]))
-        row = np.zeros(k + 1)
-        for t in ts:
-            env = ex.point_env(pts, t)
-            for i, d in enumerate(derivs):
-                vals = _spatial_values(d, env, n_pts)
-                row[i] = max(row[i], vals.max() - vals.min())
-        per_piece.append(tuple(float(v) for v in row))
-    per_order = tuple(float(v) for v in np.max(per_piece, axis=0))
-    return LengthReport(float(sum(per_order)), per_order, tuple(per_piece),
-                        {"time_samples": int(time_samples), "scheme": "closed-lattice-sup"},
-                        kind="coarse")
+        sizes = _size_table(ex.time_derivatives(piece.hamiltonian, k), pts, ts,
+                            _oscillation)
+        per_piece.append(tuple(float(v) for v in sizes.max(axis=0)))
+    return _report(per_piece, np.max,
+                   {"time_samples": int(time_samples), "scheme": "closed-lattice-sup"},
+                   "coarse")
 
 
 # --- flat-torus paths split into constant-form + exact parts ---
@@ -259,40 +262,27 @@ def hofer_like_length_k(phi: TorusSymplecticPath, k: int, grid: Grid = None,
         raise ValueError("k must be >= 0")
     grid = grid or phi.domain
     pts = grid.points()
-    n_pts = pts.shape[0]
+    origin = np.zeros((1, phi.dimension))
     per_piece = []
     for piece in phi.pieces:
-        coeff_derivs = []           # coeff_derivs[j][i] = i-th derivative of lambda_j
-        for lam in piece.harmonic:
-            chain = [lam]
-            for _ in range(k):
-                chain.append(ex.diff(chain[-1], "t"))
-            coeff_derivs.append(chain)
-        u_derivs = [piece.exact]
-        for _ in range(k):
-            u_derivs.append(ex.diff(u_derivs[-1], "t"))
-        nodes, weights = _gl_panels(piece.t_start, piece.t_end, time_samples)
-        row = np.zeros(k + 1)
-        for t, w in zip(nodes, weights):
-            env = ex.point_env(pts, t)
-            t_env = {"t": float(t)}
-            for i in range(k + 1):
-                harm = sum(abs(float(ex.eval_env(chain[i], t_env)))
-                           for chain in coeff_derivs)
-                vals = _spatial_values(u_derivs[i], env, n_pts)
-                row[i] += w * (harm + (vals.max() - vals.min()))
-        per_piece.append(tuple(float(v) for v in row))
-    per_order = tuple(float(s) for s in np.sum(per_piece, axis=0))
-    return LengthReport(float(sum(per_order)), per_order, tuple(per_piece),
-                        {"time_samples": int(time_samples), "scheme": "gauss-legendre-5"},
-                        kind="hl")
+        nodes, weights = _time_rule(piece, time_samples)
+        coeffs = [d for lam in piece.harmonic for d in ex.time_derivatives(lam, k)]
+        # |d^i lambda_j / dt^i| per (node, j, i); the coefficients depend on t
+        # only, so one sample point suffices. The l^1 sum runs over j in order.
+        per_coeff = _size_table(coeffs, origin, nodes, lambda v: abs(float(v[0])))
+        per_coeff = per_coeff.reshape(len(nodes), len(piece.harmonic), k + 1)
+        l1 = sum(per_coeff[:, j] for j in range(len(piece.harmonic)))
+        sizes = _size_table(ex.time_derivatives(piece.exact, k), pts, nodes, _oscillation)
+        per_piece.append(_time_integral(weights, l1 + sizes))
+    return _report(per_piece, np.sum,
+                   {"time_samples": int(time_samples), "scheme": "gauss-legendre-5"}, "hl")
 
 
 def flux_harmonic(phi: TorusSymplecticPath, time_samples: int = 20) -> np.ndarray:
     """Componentwise time integral of the constant-form coefficients."""
     out = np.zeros(phi.dimension)
     for piece in phi.pieces:
-        nodes, weights = _gl_panels(piece.t_start, piece.t_end, time_samples)
+        nodes, weights = _time_rule(piece, time_samples)
         for j, lam in enumerate(piece.harmonic):
             vals = np.array([float(ex.eval_env(lam, {"t": float(t)})) for t in nodes])
             out[j] += float(np.dot(weights, vals))

@@ -8,8 +8,6 @@ byte-stable so identical invocations produce identical summary.json files.
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -427,16 +425,9 @@ CHECKS = {
 }
 
 
-def run_suite(suite="core", seed=42, threads=None):
+def run_suite(suite="core", seed=42):
     names = CORE_SUITE if suite == "core" else ALL_SUITE
-    if threads is None:
-        threads = max(1, int(os.environ.get("HOFERLAB_THREADS", "1")))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {name: pool.submit(CHECKS[name], seed) for name in names}
-            results = [futures[name].result() for name in names]
-    else:
-        results = [CHECKS[name](seed) for name in names]
+    results = [CHECKS[name](seed) for name in names]
     return {
         "suite": suite,
         "seed": seed,

@@ -84,6 +84,10 @@ def test_length_hamiltonian_string(tmp_path, capsys):
     rep = json.loads(capsys.readouterr().out)
     assert rep["total"] == pytest.approx(1.5, rel=1e-9)
     assert run_cli("length", "--hamiltonian", "x1") == 2   # needs --grid
+    capsys.readouterr()
+    grid.write_text(json.dumps({"dim": 2, "geometry": "box", "resolution": [4, 4]}))
+    assert run_cli("length", "--hamiltonian", "x1", "--grid", str(grid)) == 2
+    assert "'bounds'" in capsys.readouterr().err
 
 
 def test_length_missing_file_is_config_error(tmp_path):
@@ -100,13 +104,21 @@ def test_flow_subcommand(tmp_path, capsys):
     final = (tmp_path / "flow.final.csv").read_text()
     rows = final.strip().splitlines()[1:]
     assert float(rows[0].split(",")[1]) == pytest.approx(2.0, abs=1e-10)
+    capsys.readouterr()
+    cloud.write_text("x1,y1\n0.0,abc\n")
+    assert run_cli("flow", "--path", p, "--cloud", str(cloud)) == 2
+    assert "cloud.csv" in capsys.readouterr().err
 
 
-def test_snowflake_subcommand(capsys):
+def test_snowflake_subcommand(tmp_path, capsys):
     assert run_cli("snowflake", "--group", "Z5", "--seed", "3") == 0
     out = json.loads(capsys.readouterr().out)
     assert len(out["psi_sharp"]) == 5
     assert out["psi_sharp"][0] == 0.0
+    short = tmp_path / "weights.json"
+    short.write_text(json.dumps([0.0, 1.0, 2.0]))
+    assert run_cli("snowflake", "--group", "Z4", "--weights", str(short)) == 2
+    assert "weights" in capsys.readouterr().err
 
 
 def test_snowflake_dk_mode(tmp_path, capsys):
@@ -119,6 +131,10 @@ def test_snowflake_dk_mode(tmp_path, capsys):
     assert run_cli("snowflake", "--group", str(f), "--mode", "dk:1") == 0
     assert run_cli("snowflake", "--group", str(f), "--mode", "bogus") == 2
     assert run_cli("snowflake", "--group", "NotAGroup") == 2
+    capsys.readouterr()
+    f.write_text(json.dumps({"order": 4}))
+    assert run_cli("snowflake", "--group", str(f)) == 2
+    assert "g.json" in capsys.readouterr().err
 
 
 def test_displace_and_shift(capsys):
@@ -168,6 +184,14 @@ def test_disjoint_subcommand(tmp_path, capsys):
     assert run_cli("disjoint", "--config", str(f)) == 0
     f.write_text(json.dumps({"k": 1}))
     assert run_cli("disjoint", "--config", str(f)) == 2
+    capsys.readouterr()
+    del cfg["paths"][1]["dimension"]
+    f.write_text(json.dumps(cfg))
+    assert run_cli("disjoint", "--config", str(f)) == 2
+    assert "'dimension'" in capsys.readouterr().err
+    f.write_text(json.dumps(dict(cfg, paths=[])))
+    assert run_cli("disjoint", "--config", str(f)) == 2
+    assert "$.paths" in capsys.readouterr().err
 
 
 def test_run_config_dispatch(tmp_path, capsys):

@@ -75,12 +75,6 @@ def test_run_suite_core_passes_and_is_deterministic():
     assert verify.summary_bytes(a) == verify.summary_bytes(b)
 
 
-def test_thread_cap_does_not_change_output():
-    a = verify.run_suite("core", seed=7, threads=1)
-    b = verify.run_suite("core", seed=7, threads=2)
-    assert verify.summary_bytes(a) == verify.summary_bytes(b)
-
-
 def test_corpus_expressions_roundtrip_through_printer():
     rng = np.random.default_rng(8)
     for _ in range(10):

@@ -154,12 +154,6 @@ def test_affine_inverse_and_apply():
     assert np.abs(back - pts).max() < 1e-12
 
 
-def test_right_compose_is_noop():
-    # right composition leaves the generating family untouched
-    f = path_of((0.0, 1.0, "sin(t)*x1"))
-    assert hp.right_compose(f, object()) is f
-
-
 def test_disjoint_product_single():
     f = path_of((0.0, 1.0, "x1"))
     assert hp.disjoint_product([f]) is f

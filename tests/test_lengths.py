@@ -5,6 +5,7 @@ import pytest
 
 from hoferlab import corpus
 from hoferlab import expr as E
+from hoferlab import grid as G
 from hoferlab import hampath as hp
 from hoferlab import lengths as L
 from hoferlab.grid import Grid
@@ -33,6 +34,12 @@ def test_linear_time_closed_form():
     assert rep.per_order[0] == pytest.approx(0.5, rel=1e-12)
     assert rep.per_order[1] == pytest.approx(1.0, rel=1e-12)
     assert rep.total == pytest.approx(1.5, rel=1e-12)
+    # L_p sizes scale the same way: per-order (c/2, c), on one piece or two
+    c = G.lp_norm(G.sample(E.parse(BUMP), GRID, 0.0), 0.5)
+    split = path_of((0.0, 0.5, f"t*{BUMP}"), (0.5, 1.0, f"t*{BUMP}"))
+    for g in (f, split):
+        rep = L.length_kp(g, 1, 0.5, GRID, 10)
+        assert rep.per_order == pytest.approx((c / 2.0, c), rel=1e-12)
 
 
 def test_order_zero_is_plain_length():
