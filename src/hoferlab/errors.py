@@ -75,7 +75,3 @@ class ConfigInvalid(HoferLabError):
     def __init__(self, message, key_path="$"):
         super().__init__(f"{message} (at {key_path})")
         self.key_path = key_path
-
-
-class CheckFailed(HoferLabError):
-    """A verification check failed."""

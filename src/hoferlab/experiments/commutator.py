@@ -29,8 +29,7 @@ from ..hampath import AffineSymplectic, HamiltonianPath, concatenate, conjugate,
 
 def commutator_path(f: HamiltonianPath, theta: AffineSymplectic,
                     check_against: HamiltonianPath = None,
-                    check_cloud: fl.TracerCloud = None,
-                    check_tol: float = 1e-6) -> HamiltonianPath:
+                    check_cloud: fl.TracerCloud = None) -> HamiltonianPath:
     """Path for the commutator of f's endpoint with the affine map theta.
 
     With ``check_against`` (a path whose time-1 map should be theta) and a
@@ -41,7 +40,7 @@ def commutator_path(f: HamiltonianPath, theta: AffineSymplectic,
     if check_against is not None and check_cloud is not None:
         fm = fl.integrate(check_against, check_cloud, 256)
         err = float(np.abs(fm.final.points - theta.apply(check_cloud.points)).max())
-        if err > check_tol:
+        if err > 1e-6:
             raise ConjugationUnsupported(
                 f"declared affine map deviates from the path's flow by {err:.3e}")
     return concatenate(conjugate(reverse(f), theta), f)
@@ -54,8 +53,8 @@ class CommutatorBoundReport:
     length_commutator: float
     bound: float               # 2^{k+1} * length_f
 
-    def ok(self, tol=1e-9):
-        return self.length_commutator <= self.bound * (1.0 + tol) + tol
+    def ok(self):
+        return self.length_commutator <= self.bound * (1.0 + 1e-9) + 1e-9
 
     def to_json(self):
         return {"k": self.k, "length_f": self.length_f,
@@ -64,25 +63,23 @@ class CommutatorBoundReport:
 
 
 def commutator_bound_report(f: HamiltonianPath, theta: AffineSymplectic, k: int,
-                            grid=None, time_samples: int = 10) -> CommutatorBoundReport:
+                            grid=None) -> CommutatorBoundReport:
     comm = commutator_path(f, theta)
-    lf = ln.length_k(f, k, grid or f.domain, time_samples, check_support=False).total
-    lc = ln.length_k(comm, k, grid or f.domain, time_samples, check_support=False).total
+    lf = ln.length_k(f, k, grid).total
+    lc = ln.length_k(comm, k, grid).total
     return CommutatorBoundReport(k, lf, lc, 2.0 ** (k + 1) * lf)
 
 
 def commutator_tracer_flow(f: HamiltonianPath, g: HamiltonianPath,
-                           cloud: fl.TracerCloud, steps: int = 256,
-                           tol: float = None) -> fl.FlowMap:
+                           cloud: fl.TracerCloud, steps: int = 256) -> fl.FlowMap:
     """Tracer images under the commutator of the two time-1 maps.
 
     Integrates the stages in composition order: reverse(g), reverse(f),
     then g, then f, so the final positions realize f g f^{-1} g^{-1} applied
-    to the initial points. Cutoff-built Hamiltonians have steep local
-    gradients; pass ``tol`` to let each stage refine its step count.
+    to the initial points.
     """
     stages = [reverse(g), reverse(f), g, f]
     pts = cloud
     for stage in stages:
-        pts = fl.integrate(stage, pts, steps, tol=tol).final
+        pts = fl.integrate(stage, pts, steps).final
     return fl.FlowMap(cloud, pts, "commutator", {"steps_per_stage": steps})

@@ -30,8 +30,8 @@ class DisjointBoundReport:
     bound: float                  # 2(k+1) * max member total
     ratio: float
 
-    def ok(self, tol=1e-9):
-        return self.product_total <= self.bound * (1.0 + tol) + tol
+    def ok(self):
+        return self.product_total <= self.bound * (1.0 + 1e-9) + 1e-9
 
     def to_json(self):
         return {"k": self.k, "product_per_order": list(self.product_per_order),

@@ -32,6 +32,9 @@ from ..errors import CertificateFailed
 from ..grid import Grid
 from ..hampath import AffineSymplectic, HamiltonianPath, autonomous_path, conjugate
 
+# half-width of the half-space shift's working window (the x1 ramp and its grid)
+SHIFT_WINDOW = 16.0
+
 
 @dataclass(frozen=True)
 class SquareCertificate:
@@ -51,20 +54,17 @@ class SquareCertificate:
                 "tolerance": self.tolerance, "ok": self.ok()}
 
 
-def square_displacement(area: float, k_max: int = 5, eps: float = 0.004,
-                        window: float = 0.002, y_resolution: int = 4096,
-                        tracers: int = 512, tolerance: float = 0.02,
-                        seed: int = 0):
+def square_displacement(area: float, k_max: int = 5, eps: float = 0.004):
     """Autonomous path displacing the open square of the given area.
 
     Returns (path, certificate); raises CertificateFailed when either the
-    displacement or the length budget fails.
+    displacement or the length budget (2% of the area) fails.
     """
     if area <= 0:
         raise ValueError("area must be positive")
     a = math.sqrt(area)
     v = a * (1.0 + eps)
-    mu = window * a
+    mu = 0.002 * a
     y1 = ex.Var("y1")
     # ramp v*(a/2 - y1) on [-mu, a+mu], cut to zero outside [-2mu, a+2mu];
     # the cutoff argument is scaled by 1/mu so the glue sees a unit-width
@@ -74,21 +74,20 @@ def square_displacement(area: float, k_max: int = 5, eps: float = 0.004,
     h = ex.mul(ex.mul(ex.const(v), ex.sub(ex.const(a / 2.0), y1)), cutoff)
     lo = min(-4.0 * mu - 0.5 * a, -0.5)
     hi = max(a + 4.0 * mu + 0.5 * a, a + 0.5)
-    grid = Grid.box([lo - a, lo], [hi + a + v, hi], (3, y_resolution))
+    grid = Grid.box([lo - a, lo], [hi + a + v, hi], (3, 4096))
     path = autonomous_path(h, 2, grid)
 
     lengths = {}
     for k in range(k_max + 1):
-        rep = ln.length_k(path, k, grid, time_samples=10, check_support=False)
-        lengths[k] = rep.total
+        lengths[k] = ln.length_k(path, k, grid, time_samples=10).total
 
-    rng = np.random.default_rng(seed)
-    pts = rng.uniform(0.0, a, (tracers, 2))
+    rng = np.random.default_rng(0)
+    pts = rng.uniform(0.0, a, (512, 2))
     cloud = fl.TracerCloud(pts)
     fm = fl.integrate(path, cloud, steps_per_piece=32)
     cert_flow = fl.displaced(fm, fl.box_region([0.0, 0.0], [a, a]))
     cert = SquareCertificate(area, lengths, cert_flow.displaced,
-                             cert_flow.margin, tolerance)
+                             cert_flow.margin, 0.02)
     if not cert.ok():
         raise CertificateFailed(f"square displacement certificate failed: {cert.to_json()}")
     return path, cert
@@ -102,8 +101,8 @@ class ShiftCertificate:
     shift_error: float     # max deviation from (+v, 0, ...) right of 0
     window: float
 
-    def ok(self, fixed_tol=1e-8, shift_tol=1e-6):
-        return self.fixed_error < fixed_tol and self.shift_error < shift_tol
+    def ok(self):
+        return self.fixed_error < 1e-8 and self.shift_error < 1e-6
 
     def to_json(self):
         return {"v": self.v, "eps": self.eps, "fixed_error": self.fixed_error,
@@ -111,38 +110,34 @@ class ShiftCertificate:
                 "ok": self.ok()}
 
 
-def half_space_shift(v: float, eps: float, window: float = 16.0,
-                     grid: Grid = None) -> HamiltonianPath:
+def half_space_shift(v: float, eps: float) -> HamiltonianPath:
     """Path generated by H = -eta(x1) * v * y1 shifting {x1 >= 0} by +v."""
     if v <= 0 or eps <= 0:
         raise ValueError("v and eps must be positive")
     x1, y1 = ex.Var("x1"), ex.Var("y1")
     # unit-width transition in the scaled argument: eta = 1 on [0, 2*window],
     # 0 left of -eps and right of 2*window + eps
-    eta = ex.step(ex.div(ex.sub(x1, ex.const(window)), ex.const(eps)),
-                  window / eps, window / eps + 1.0)
+    eta = ex.step(ex.div(ex.sub(x1, ex.const(SHIFT_WINDOW)), ex.const(eps)),
+                  SHIFT_WINDOW / eps, SHIFT_WINDOW / eps + 1.0)
     h = ex.neg(ex.mul(ex.mul(eta, ex.const(v)), y1))
-    if grid is None:
-        grid = Grid.box([-window, -window], [window, window], (16, 16))
+    grid = Grid.box([-SHIFT_WINDOW, -SHIFT_WINDOW], [SHIFT_WINDOW, SHIFT_WINDOW], (16, 16))
     return autonomous_path(h, 2, grid)
 
 
-def shift_certificate(v: float, eps: float, window: float = 16.0,
-                      probes: int = 64, seed: int = 0,
-                      steps: int = 128) -> ShiftCertificate:
-    """Integrate probe tracers on both sides of the transition zone."""
-    path = half_space_shift(v, eps, window)
-    rng = np.random.default_rng(seed)
-    span = min(window / 2.0, 8.0)
-    fixed_pts = np.column_stack([rng.uniform(-span, -2.0 * eps, probes),
-                                 rng.uniform(-span, span, probes)])
-    moved_pts = np.column_stack([rng.uniform(1e-9, span, probes),
-                                 rng.uniform(-span, span, probes)])
-    fm_fixed = fl.integrate(path, fl.TracerCloud(fixed_pts), steps)
-    fm_moved = fl.integrate(path, fl.TracerCloud(moved_pts), steps)
+def shift_certificate(v: float, eps: float) -> ShiftCertificate:
+    """Integrate 64 probe tracers on each side of the transition zone."""
+    path = half_space_shift(v, eps)
+    rng = np.random.default_rng(0)
+    span = 8.0
+    fixed_pts = np.column_stack([rng.uniform(-span, -2.0 * eps, 64),
+                                 rng.uniform(-span, span, 64)])
+    moved_pts = np.column_stack([rng.uniform(1e-9, span, 64),
+                                 rng.uniform(-span, span, 64)])
+    fm_fixed = fl.integrate(path, fl.TracerCloud(fixed_pts), 128)
+    fm_moved = fl.integrate(path, fl.TracerCloud(moved_pts), 128)
     fixed_err = float(np.abs(fm_fixed.final.points - fixed_pts).max())
     shift_err = float(np.abs(fm_moved.final.points - (moved_pts + [v, 0.0])).max())
-    return ShiftCertificate(v, eps, fixed_err, shift_err, window)
+    return ShiftCertificate(v, eps, fixed_err, shift_err, SHIFT_WINDOW)
 
 
 def shift_conjugator(v: float, dimension: int = 2) -> AffineSymplectic:

@@ -33,13 +33,16 @@ from ..hampath import HamiltonianPath, autonomous_path
 from ..lengths import gauss_legendre_panels
 
 
+# x1 distance from the shell to its mirrored copy in closed mode
+MIRROR_OFFSET = 8.0
+# plateau and support radii of the cutoff, in units of 1/m around the unit sphere
+SHELL_INNER, SHELL_OUTER = 0.25, 0.75
+
+
 @dataclass(frozen=True)
 class ShellFamilySpec:
     m: int
     closed_mode: bool = False
-    mirror_offset: float = 8.0      # x1 distance to the mirrored copy
-    inner: float = 0.25
-    outer: float = 0.75
 
     def __post_init__(self):
         if self.m < 1:
@@ -47,21 +50,20 @@ class ShellFamilySpec:
 
     @property
     def shell_bounds(self):
-        return (1.0 - self.outer / self.m, 1.0 + self.outer / self.m)
+        return (1.0 - SHELL_OUTER / self.m, 1.0 + SHELL_OUTER / self.m)
 
     def hamiltonian(self) -> ex.Expression:
         x1, y1, t = ex.Var("x1"), ex.Var("y1"), ex.Var("t")
         r = ex.call("sqrt", x1 ** 2 + (y1 - 2.0 * t) ** 2)
-        h = 2.0 * x1 * ex.step(float(self.m) * (r - 1.0), self.inner, self.outer)
+        h = 2.0 * x1 * ex.step(float(self.m) * (r - 1.0), SHELL_INNER, SHELL_OUTER)
         if self.closed_mode:
-            shifted = ex.substitute(h, {"x1": ex.sub(x1, ex.const(self.mirror_offset))})
+            shifted = ex.substitute(h, {"x1": ex.sub(x1, ex.const(MIRROR_OFFSET))})
             h = ex.sub(h, shifted)
         return h
 
-    def path(self, grid: Grid = None) -> HamiltonianPath:
-        if grid is None:
-            hi = 2.0 + self.mirror_offset if self.closed_mode else 2.0
-            grid = Grid.box([-2.0, -2.0], [hi, 4.0], (32, 32))
+    def path(self) -> HamiltonianPath:
+        hi = 2.0 + MIRROR_OFFSET if self.closed_mode else 2.0
+        grid = Grid.box([-2.0, -2.0], [hi, 4.0], (32, 32))
         return autonomous_path(self.hamiltonian(), 2, grid)
 
 
@@ -80,7 +82,7 @@ def shell_lp_norm(spec: ShellFamilySpec, derivative: ex.Expression, p: float,
     rho, w_rho = _radial_rule(spec, radial_panels)
     theta = np.linspace(0.0, 2.0 * np.pi, theta_samples, endpoint=False)
     w_theta = 2.0 * np.pi / theta_samples
-    centers_x = [0.0] + ([spec.mirror_offset] if spec.closed_mode else [])
+    centers_x = [0.0] + ([MIRROR_OFFSET] if spec.closed_mode else [])
     total = 0.0
     for cx in centers_x:
         R, TH = np.meshgrid(rho, theta, indexing="ij")
@@ -136,8 +138,7 @@ class ShellDecayReport:
 
 
 def shell_decay_report(m_values, k: int, p: float, orders=None,
-                       closed_mode: bool = False, t_samples=(0.25, 0.5, 0.75),
-                       time_integral_nodes: int = 10, radial_panels: int = 16,
+                       closed_mode: bool = False,
                        theta_samples: int = 256) -> ShellDecayReport:
     """Decay table and fitted log-log slopes for the shell family.
 
@@ -153,7 +154,7 @@ def shell_decay_report(m_values, k: int, p: float, orders=None,
     max_norms = {i: [] for i in orders}
     integrals = {i: [] for i in orders}
     totals = []
-    gl_t, gl_w = np.polynomial.legendre.leggauss(time_integral_nodes)
+    gl_t, gl_w = np.polynomial.legendre.leggauss(10)
     t_nodes = 0.5 + 0.5 * gl_t
     t_weights = 0.5 * gl_w
     for m in m_values:
@@ -163,8 +164,8 @@ def shell_decay_report(m_values, k: int, p: float, orders=None,
         total = 0.0
         for i in orders:
             norm_at = lambda t: shell_lp_norm(spec, derivs[i], p, t,
-                                              radial_panels, theta_samples)
-            max_norms[i].append(max(norm_at(t) for t in t_samples))
+                                              theta_samples=theta_samples)
+            max_norms[i].append(max(norm_at(t) for t in (0.25, 0.5, 0.75)))
             integral = float(sum(w * norm_at(t) for t, w in zip(t_nodes, t_weights)))
             integrals[i].append(integral)
             total += integral

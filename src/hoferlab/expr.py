@@ -142,12 +142,6 @@ def const(v):
     return Const(float(v))
 
 
-def var(name):
-    if not _VAR_RE.match(name):
-        raise UnknownIdentifier(f"not a variable name: {name!r}")
-    return Var(name)
-
-
 def add(a, b):
     if isinstance(a, Const) and isinstance(b, Const):
         return Const(a.value + b.value)
@@ -476,12 +470,12 @@ def time_derivatives(e, k):
     return out
 
 
-def diff_t(e, order=1, max_order=MAX_DIFF_ORDER):
+def diff_t(e, order=1):
     """i-th time derivative; diff_t(e, 0) is e itself."""
     if order < 0:
         raise ValueError("order must be >= 0")
-    if order > max_order:
-        raise ValueError(f"order {order} exceeds the configured maximum {max_order}")
+    if order > MAX_DIFF_ORDER:
+        raise ValueError(f"order {order} exceeds the maximum {MAX_DIFF_ORDER}")
     return time_derivatives(e, order)[-1]
 
 

@@ -26,12 +26,14 @@ from .errors import BlowUp, CloudMismatch
 from .hampath import HamiltonianPath
 
 DEFAULT_SAFETY_RADIUS = 1e6
+MAX_DOUBLINGS = 6
+# rows of displaced A-tracers per distance block in ``displaced``
+DISPLACED_BLOCK = 256
 
 
 @dataclass(frozen=True)
 class TracerCloud:
     points: np.ndarray            # (N, 2n)
-    labels: tuple = None
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -106,12 +108,11 @@ def _rk4(vel_exprs, pts, t0, t1, steps, safety_radius):
 
 
 def integrate(f: HamiltonianPath, cloud: TracerCloud, steps_per_piece: int = 256,
-              safety_radius: float = DEFAULT_SAFETY_RADIUS, tol: float = None,
-              max_doublings: int = 6) -> FlowMap:
+              safety_radius: float = DEFAULT_SAFETY_RADIUS, tol: float = None) -> FlowMap:
     """Time-1 images of the tracers under the piecewise Hamiltonian flow.
 
     The error estimate compares against a half-step integration. With ``tol``
-    set, steps double (up to ``max_doublings``) until the estimate passes.
+    set, steps double (up to ``MAX_DOUBLINGS`` times) until the estimate passes.
     """
     pts0 = cloud.points
     dim = pts0.shape[1]
@@ -130,13 +131,13 @@ def integrate(f: HamiltonianPath, cloud: TracerCloud, steps_per_piece: int = 256
         final = run(steps)
         half = run(max(steps // 2, 1))
         err = float(np.abs(final - half).max())
-        if tol is None or err <= tol or steps >= steps_per_piece * 2 ** max_doublings:
+        if tol is None or err <= tol or steps >= steps_per_piece * 2 ** MAX_DOUBLINGS:
             break
         steps *= 2
     stats = {"steps_per_piece": steps, "pieces": len(f.pieces),
              "max_step_error": err}
     path_hash = _hash_path(f)
-    return FlowMap(cloud, TracerCloud(final, cloud.labels), path_hash, stats)
+    return FlowMap(cloud, TracerCloud(final), path_hash, stats)
 
 
 def _hash_path(f):
@@ -181,9 +182,12 @@ def displaced(flow: FlowMap, region_test) -> DisplacementCertificate:
     a0 = init[mask]
     a1 = flow.final.points[mask]
     still_inside = bool(np.asarray(region_test(a1), dtype=bool).any())
-    # pairwise distances without scipy; clouds are desk-scale
-    d2 = np.sum((a1[:, None, :] - a0[None, :, :]) ** 2, axis=-1)
-    margin = float(np.sqrt(d2.min()))
+    # pairwise distances without scipy, a block of rows at a time so memory
+    # stays O(DISPLACED_BLOCK * N_A) rather than O(N_A^2)
+    d2_min = np.min([np.sum((a1[i:i + DISPLACED_BLOCK, None, :] - a0[None, :, :]) ** 2,
+                            axis=-1).min()
+                     for i in range(0, len(a1), DISPLACED_BLOCK)])
+    margin = float(np.sqrt(d2_min))
     return DisplacementCertificate(displaced=(not still_inside) and margin > 0.0,
                                    margin=margin if not still_inside else 0.0,
                                    samples=int(mask.sum()))

@@ -11,7 +11,6 @@ do not.
 
 from __future__ import annotations
 
-import io
 import warnings
 from dataclasses import dataclass
 
@@ -85,9 +84,6 @@ class Grid:
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1)
 
-    def point_env(self, t):
-        return ex.point_env(self.points(), t)
-
     def to_json(self):
         spec = {"dim": self.dimension, "geometry": self.geometry,
                 "resolution": list(self.resolution)}
@@ -124,7 +120,7 @@ class Field:
 def sample(expression, grid, t):
     """Evaluate an expression on every grid point at time t."""
     n = int(np.prod(grid.resolution))
-    return Field(ex.eval_array(expression, grid.point_env(t), n), grid)
+    return Field(ex.eval_array(expression, ex.point_env(grid.points(), t), n), grid)
 
 
 def oscillation(f: Field) -> float:
@@ -170,15 +166,16 @@ def boundary_mask(grid: Grid) -> np.ndarray:
     return mask.ravel()
 
 
-def check_support_margin(f: Field, rel_tol=1e-9) -> bool:
-    """Warn (never fail) when a box field is not numerically supported inside."""
+def check_support_margin(f: Field) -> bool:
+    """Warn (never fail) when a box field is not numerically supported inside:
+    its boundary layer reaches 1e-9 of its oscillation."""
     if f.grid.geometry != "box":
         return True
     osc = oscillation(f)
     if osc == 0.0:
         return True
     edge = np.abs(f.values[boundary_mask(f.grid)]).max()
-    if edge >= rel_tol * osc:
+    if edge >= 1e-9 * osc:
         warnings.warn(
             f"field reaches {edge:.3e} on the boundary layer "
             f"(oscillation {osc:.3e}); box may truncate its support",
@@ -186,22 +183,3 @@ def check_support_margin(f: Field, rel_tol=1e-9) -> bool:
         return False
     return True
 
-
-# --- CSV interchange: header of coordinate names, then "value" ---
-
-def field_to_csv(f: Field) -> str:
-    pts = f.grid.points()
-    names = []
-    for i in range(f.grid.dimension // 2):
-        names += [f"x{i + 1}", f"y{i + 1}"]
-    out = io.StringIO()
-    out.write(",".join(names + ["value"]) + "\n")
-    for row, v in zip(pts, f.values):
-        out.write(",".join(repr(float(c)) for c in row) + f",{float(v)!r}\n")
-    return out.getvalue()
-
-
-def field_from_csv(text: str, grid: Grid) -> Field:
-    lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-    vals = np.array([float(ln.rsplit(",", 1)[1]) for ln in lines[1:]])
-    return Field(vals, grid)

@@ -188,16 +188,16 @@ def concatenate(f: HamiltonianPath, g: HamiltonianPath) -> HamiltonianPath:
     return replace(f, pieces=tuple(pieces))
 
 
-def _invert_monotone(s_piece, target, lo, hi, tol=1e-14):
+def _invert_monotone(s_piece, target, lo, hi):
     """Solve s(t) = target for t in [lo, hi] by bisection (s monotone)."""
     f = lambda t: float(ex.eval_env(s_piece, {"t": t})) - target
     a, b = lo, hi
     fa = f(a)
-    if fa > tol:
+    if fa > 1e-14:
         raise NotMonotone(f"reparametrization leaves no preimage for {target}")
     for _ in range(200):
         m = 0.5 * (a + b)
-        if b - a < tol:
+        if b - a < 1e-14:
             break
         if f(m) < 0:
             a = m
@@ -206,12 +206,12 @@ def _invert_monotone(s_piece, target, lo, hi, tol=1e-14):
     return 0.5 * (a + b)
 
 
-def reparametrize(f: HamiltonianPath, s, s_prime=None, samples=257) -> HamiltonianPath:
+def reparametrize(f: HamiltonianPath, s) -> HamiltonianPath:
     """Replay f along a monotone time change s: [0,1] -> [0,1].
 
     ``s`` is an Expression in t, or a list of Pieces for a piecewise-smooth
-    change; derivatives are taken symbolically when not supplied. New pieces
-    carry s'(t) * H(x, s(t)); the identity change returns f itself.
+    change; derivatives are taken symbolically. New pieces carry
+    s'(t) * H(x, s(t)); the identity change returns f itself.
     """
     if isinstance(s, ex.Expression) and s == ex.Var("t"):
         return f
@@ -219,9 +219,7 @@ def reparametrize(f: HamiltonianPath, s, s_prime=None, samples=257) -> Hamiltoni
         s_pieces = [Piece(0.0, 1.0, s)]
     else:
         s_pieces = list(s)
-    d_pieces = ([Piece(p.t_start, p.t_end, ex.diff(p.hamiltonian, "t")) for p in s_pieces]
-                if s_prime is None else
-                ([Piece(0.0, 1.0, s_prime)] if isinstance(s_prime, ex.Expression) else list(s_prime)))
+    d_pieces = [Piece(p.t_start, p.t_end, ex.diff(p.hamiltonian, "t")) for p in s_pieces]
 
     # validate endpoints and monotonicity by sampling
     first, last = s_pieces[0], s_pieces[-1]
@@ -230,8 +228,8 @@ def reparametrize(f: HamiltonianPath, s, s_prime=None, samples=257) -> Hamiltoni
     if abs(s0) > 1e-12 or abs(s1 - 1.0) > 1e-12:
         raise NotMonotone(f"time change must fix 0 and 1, got s(0)={s0}, s(1)={s1}")
     for sp, dp in zip(s_pieces, d_pieces):
-        ts = np.linspace(sp.t_start, sp.t_end, samples)
-        dv = ex.eval_array(dp.hamiltonian, {"t": ts}, samples)
+        ts = np.linspace(sp.t_start, sp.t_end, 257)
+        dv = ex.eval_array(dp.hamiltonian, {"t": ts}, ts.size)
         if dv.min() < -1e-12:
             raise NotMonotone(f"s' reaches {dv.min()} on [{sp.t_start}, {sp.t_end}]")
 
@@ -278,7 +276,7 @@ def _common_division(paths):
     return merged
 
 
-def validate_disjoint_supports(paths, boxes, grid, rel_tol=1e-9, t_samples=5):
+def validate_disjoint_supports(paths, boxes, grid):
     """Sampling check that each path's Hamiltonian vanishes outside its box."""
     pts = grid.points()
     for f, box in zip(paths, boxes):
@@ -286,11 +284,11 @@ def validate_disjoint_supports(paths, boxes, grid, rel_tol=1e-9, t_samples=5):
         outside = np.any((pts < lo) | (pts > hi), axis=1)
         if not outside.any():
             continue
-        for tq in np.linspace(0.0, 1.0, t_samples):
+        for tq in np.linspace(0.0, 1.0, 5):
             h = f.hamiltonian_at(min(tq, 1.0 - 1e-12))
             vals = ex.eval_array(h, ex.point_env(pts, tq), pts.shape[0])
             scale = max(vals.max() - vals.min(), 1e-300)
-            if np.abs(vals[outside]).max() > rel_tol * scale:
+            if np.abs(vals[outside]).max() > 1e-9 * scale:
                 raise SupportOverlap(
                     f"path support leaks outside its declared box at t={tq}")
     for i in range(len(boxes)):

@@ -28,7 +28,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import expr as ex
-from . import grid as gridmod
 from .errors import GeometryError
 from .grid import Grid
 from .hampath import HamiltonianPath
@@ -117,9 +116,9 @@ def _report(per_piece, combine, quadrature, kind):
 
 
 def length_k(f: HamiltonianPath, k: int, grid: Grid = None,
-             time_samples: int = 10, check_support=True) -> LengthReport:
+             time_samples: int = 10) -> LengthReport:
     """Sum_{i<=k} integral of osc_x(d^i H / dt^i) dt over each piece."""
-    return _integral_length(f, k, grid, time_samples, _oscillation, "k", check_support)
+    return _integral_length(f, k, grid, time_samples, _oscillation, "k")
 
 
 def length_kp(f: HamiltonianPath, k: int, p: float, grid: Grid = None,
@@ -135,8 +134,7 @@ def length_kp(f: HamiltonianPath, k: int, p: float, grid: Grid = None,
     return _integral_length(f, k, grid, time_samples, lp, "kp", p=p)
 
 
-def _integral_length(f, k, grid, time_samples, size, kind, check_support=False,
-                     **quad_extra):
+def _integral_length(f, k, grid, time_samples, size, kind, **quad_extra):
     if k < 0:
         raise ValueError("k must be >= 0")
     if time_samples < 8:
@@ -145,9 +143,6 @@ def _integral_length(f, k, grid, time_samples, size, kind, check_support=False,
     pts = grid.points()
     per_piece = []
     for piece in f.pieces:
-        if check_support:
-            mid = 0.5 * (piece.t_start + piece.t_end)
-            gridmod.check_support_margin(gridmod.sample(piece.hamiltonian, grid, mid))
         nodes, weights = _time_rule(piece, time_samples)
         sizes = _size_table(ex.time_derivatives(piece.hamiltonian, k), pts, nodes, size)
         per_piece.append(_time_integral(weights, sizes))
@@ -164,8 +159,8 @@ def two_resolution(f: HamiltonianPath, k: int, grid: Grid, time_samples: int = 1
     """
     fine_grid = Grid(grid.dimension, grid.geometry, grid.lower, grid.upper,
                      tuple(2 * r for r in grid.resolution))
-    coarse = length_k(f, k, grid, time_samples, check_support=False)
-    fine = length_k(f, k, fine_grid, time_samples, check_support=False)
+    coarse = length_k(f, k, grid, time_samples)
+    fine = length_k(f, k, fine_grid, time_samples)
     extrapolated = fine.total + (fine.total - coarse.total) / 3.0
     return {"coarse": coarse.total, "fine": fine.total,
             "extrapolated": extrapolated,
@@ -278,21 +273,20 @@ def hofer_like_length_k(phi: TorusSymplecticPath, k: int, grid: Grid = None,
                    {"time_samples": int(time_samples), "scheme": "gauss-legendre-5"}, "hl")
 
 
-def flux_harmonic(phi: TorusSymplecticPath, time_samples: int = 20) -> np.ndarray:
+def flux_harmonic(phi: TorusSymplecticPath) -> np.ndarray:
     """Componentwise time integral of the constant-form coefficients."""
     out = np.zeros(phi.dimension)
     for piece in phi.pieces:
-        nodes, weights = _time_rule(piece, time_samples)
+        nodes, weights = _time_rule(piece, 20)
         for j, lam in enumerate(piece.harmonic):
             vals = np.array([float(ex.eval_env(lam, {"t": float(t)})) for t in nodes])
             out[j] += float(np.dot(weights, vals))
     return out
 
 
-def reparametrize_torus(phi: TorusSymplecticPath, s: ex.Expression,
-                        s_prime: ex.Expression = None) -> TorusSymplecticPath:
+def reparametrize_torus(phi: TorusSymplecticPath, s: ex.Expression) -> TorusSymplecticPath:
     """Replay a torus path along a smooth monotone time change fixing 0 and 1."""
-    sp = s_prime if s_prime is not None else ex.diff(s, "t")
+    sp = ex.diff(s, "t")
     if len(phi.pieces) > 1:
         raise ValueError("torus reparametrization supports single-piece paths")
     out = []

@@ -228,26 +228,6 @@ def brute_force_sharp(g: WeightedGroup, max_n: int, alpha: float = None) -> np.n
     return np.where(np.isfinite(best), best ** (1.0 / alpha), np.inf)
 
 
-def raw_word_enumeration(g: WeightedGroup, max_n: int, alpha: float = None) -> np.ndarray:
-    """Literal product iteration over all words; tiny groups only."""
-    if g.order ** max_n > 10 ** 6:
-        raise BudgetExceeded("raw enumeration is reserved for tiny groups")
-    if alpha is None:
-        alpha = generic_alpha(quasi_constant(g))
-    costs = np.where(np.isfinite(g.weights), g.weights ** alpha, np.inf)
-    best = np.full(g.order, np.inf)
-    for n_fac in range(1, max_n + 1):
-        for word in itertools.product(range(g.order), repeat=n_fac):
-            prod = word[0]
-            cost = costs[word[0]]
-            for s in word[1:]:
-                prod = int(g.table[prod, s])
-                cost += costs[s]
-            if cost < best[prod]:
-                best[prod] = cost
-    return np.where(np.isfinite(best), best ** (1.0 / alpha), np.inf)
-
-
 def sharp_fixed_exponent(g: WeightedGroup, k: int) -> SharpResult:
     """Snowflake transform with exponent alpha = 1/(k+1).
 
@@ -282,24 +262,22 @@ def _table_from_elements(elements, compose):
     return table, inv, e
 
 
-def cyclic_group(n, weights=None):
+def cyclic_group(n):
     table = (np.arange(n)[:, None] + np.arange(n)[None, :]) % n
     inv = (-np.arange(n)) % n
-    w = np.zeros(n) if weights is None else np.asarray(weights, dtype=float)
-    return WeightedGroup(n, table, 0, inv, w)
+    return WeightedGroup(n, table, 0, inv, np.zeros(n))
 
 
-def symmetric_group(n, weights=None):
+def symmetric_group(n):
     elements = sorted(itertools.permutations(range(n)))
     elements.remove(tuple(range(n)))
     elements.insert(0, tuple(range(n)))
     compose = lambda a, b: tuple(a[b[i]] for i in range(n))
     table, inv, e = _table_from_elements(elements, compose)
-    w = np.zeros(len(elements)) if weights is None else np.asarray(weights, dtype=float)
-    return WeightedGroup(len(elements), table, e, inv, w)
+    return WeightedGroup(len(elements), table, e, inv, np.zeros(len(elements)))
 
 
-def dihedral_group(n, weights=None):
+def dihedral_group(n):
     """Symmetries of the regular n-gon, order 2n, as pairs (rotation, flip)."""
     elements = [(r, f) for f in (0, 1) for r in range(n)]
 
@@ -311,8 +289,7 @@ def dihedral_group(n, weights=None):
         return (r, (f1 + f2) % 2)
 
     table, inv, e = _table_from_elements(elements, compose)
-    w = np.zeros(len(elements)) if weights is None else np.asarray(weights, dtype=float)
-    return WeightedGroup(len(elements), table, e, inv, w)
+    return WeightedGroup(len(elements), table, e, inv, np.zeros(len(elements)))
 
 
 def builtin_group(name):

@@ -34,8 +34,8 @@ def check_path_algebra_reverse(seed, count=50, k=3):
     paths = _corpus_paths(seed, count)
     worst = 0.0
     for f in paths:
-        a = ln.length_k(f, k, time_samples=10, check_support=False)
-        b = ln.length_k(hp.reverse(f), k, time_samples=10, check_support=False)
+        a = ln.length_k(f, k, time_samples=10)
+        b = ln.length_k(hp.reverse(f), k, time_samples=10)
         # per-order equality gives equality of every partial length k' <= k
         for i in range(k + 1):
             worst = max(worst, abs(a.per_order[i] - b.per_order[i])
@@ -50,9 +50,9 @@ def check_path_algebra_concat(seed, count=50, k=3):
     worst = 0.0
     for f, g in zip(paths[::2], paths[1::2]):
         c = hp.concatenate(f, g)
-        rc = ln.length_k(c, k, time_samples=10, check_support=False)
-        rf = ln.length_k(f, k, time_samples=10, check_support=False)
-        rg = ln.length_k(g, k, time_samples=10, check_support=False)
+        rc = ln.length_k(c, k, time_samples=10)
+        rf = ln.length_k(f, k, time_samples=10)
+        rg = ln.length_k(g, k, time_samples=10)
         for i in range(k + 1):
             want = 2.0 ** i * (rf.per_order[i] + rg.per_order[i])
             worst = max(worst, abs(rc.per_order[i] - want) / max(want, 1e-300))
@@ -68,8 +68,8 @@ def check_path_algebra_reparam(seed, count=50):
         f = corpus.random_path(rng, smooth=True)
         s = corpus.random_time_change(rng)
         g = hp.reparametrize(f, s)
-        a = ln.length_k(f, 0, time_samples=30, check_support=False).total
-        b = ln.length_k(g, 0, time_samples=30, check_support=False).total
+        a = ln.length_k(f, 0, time_samples=30).total
+        b = ln.length_k(g, 0, time_samples=30).total
         worst = max(worst, abs(a - b) / max(a, 1e-300))
     return {"name": "path_algebra_reparam", "passed": worst <= 1e-8,
             "measured": {"max_rel_dev": worst, "paths": count}, "tolerance": 1e-8}
@@ -79,7 +79,7 @@ def check_monotonicity(seed, count=50, k=3):
     paths = _corpus_paths(seed, count)
     min_term = np.inf
     for f in paths:
-        rep = ln.length_k(f, k, time_samples=10, check_support=False)
+        rep = ln.length_k(f, k, time_samples=10)
         min_term = min(min_term, min(rep.per_order))
     return {"name": "monotonicity", "passed": bool(min_term >= 0.0),
             "measured": {"min_per_order_term": float(min_term)}, "tolerance": 0.0}
@@ -89,7 +89,7 @@ def check_coarse_dominates(seed, count=25, k=2):
     paths = _corpus_paths(seed + 2, count)
     worst = -np.inf
     for f in paths:
-        a = ln.length_k(f, k, time_samples=10, check_support=False).total
+        a = ln.length_k(f, k, time_samples=10).total
         b = ln.coarse_length_k(f, k, time_samples=65).total
         worst = max(worst, a - b)
     return {"name": "coarse_dominates", "passed": worst <= 1e-12,
@@ -357,8 +357,8 @@ def check_half_space_shift(seed=None):
     g2 = conjugate_by_shift(f, 1.5)
     dev = 0.0
     for k in (0, 1, 2):
-        a = ln.length_k(f, k, grid, time_samples=10, check_support=False).total
-        b = ln.length_k(g2, k, grid, time_samples=10, check_support=False).total
+        a = ln.length_k(f, k, grid, time_samples=10).total
+        b = ln.length_k(g2, k, grid, time_samples=10).total
         dev = max(dev, abs(a - b) / max(a, 1e-300))
     del rng
     passed = cert.ok() and dev <= 1e-6

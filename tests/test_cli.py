@@ -4,10 +4,14 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
+from hoferlab import lengths as ln
 from hoferlab.cli import SUBCOMMANDS, build_parser, main
+from hoferlab.grid import SupportMarginWarning
+from hoferlab.hampath import HamiltonianPath
 
 PKG_SCHEMAS = os.path.join(os.path.dirname(__file__), os.pardir,
                            "src", "hoferlab", "schemas")
@@ -43,6 +47,20 @@ def test_length_subcommand(tmp_path, capsys):
     assert len(rep["per_order"]) == 3
     assert run_cli("length", "--path", p, "--k", "1", "--kind", "kp", "--p", "0.5") == 0
     assert run_cli("length", "--path", p, "--k", "1", "--kind", "coarse") == 0
+
+
+def test_length_warns_on_support_margin_for_every_kind(tmp_path, capsys):
+    # (1 + x1^2)*t does not vanish near the boundary of the path's box grid
+    p = path_json(tmp_path, expr="(1 + x1^2)*t")
+    for extra in (["--kind", "k"], ["--kind", "coarse"], ["--kind", "kp", "--p", "0.5"]):
+        with pytest.warns(SupportMarginWarning):
+            assert run_cli("length", "--path", p, "--k", "1", *extra) == 0
+    capsys.readouterr()
+    with open(p, encoding="utf-8") as fh:
+        path = HamiltonianPath.from_json(json.load(fh))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", SupportMarginWarning)
+        ln.length_k(path, 1)
 
 
 def test_length_kp_requires_p(tmp_path):
@@ -129,6 +147,16 @@ def test_snowflake_dk_mode(tmp_path, capsys):
     f = tmp_path / "g.json"
     f.write_text(json.dumps(spec))
     assert run_cli("snowflake", "--group", str(f), "--mode", "dk:1") == 0
+    capsys.readouterr()
+    # --weights and --seed replace a group file's own weights
+    w = tmp_path / "w.json"
+    w.write_text(json.dumps([0.0, 5.0, 5.0, 5.0]))
+    assert run_cli("snowflake", "--group", str(f), "--weights", str(w)) == 0
+    assert json.loads(capsys.readouterr().out)["psi_sharp"] == [0.0, 5.0, 5.0, 5.0]
+    assert run_cli("snowflake", "--group", str(f), "--seed", "3") == 0
+    from_file = json.loads(capsys.readouterr().out)
+    assert run_cli("snowflake", "--group", "Z4", "--seed", "3") == 0
+    assert from_file == json.loads(capsys.readouterr().out)
     assert run_cli("snowflake", "--group", str(f), "--mode", "bogus") == 2
     assert run_cli("snowflake", "--group", "NotAGroup") == 2
     capsys.readouterr()
@@ -192,6 +220,13 @@ def test_disjoint_subcommand(tmp_path, capsys):
     f.write_text(json.dumps(dict(cfg, paths=[])))
     assert run_cli("disjoint", "--config", str(f)) == 2
     assert "$.paths" in capsys.readouterr().err
+    # every path needs its own box with corners of the path's dimension
+    cfg["paths"][1]["dimension"] = 2
+    cfg["paths"][1]["pieces"] = [piece(-1.0)]
+    for boxes in (cfg["boxes"][:1], 5, [[[-1.5], [-0.5]], [[0.5, -0.5], [1.5, 0.5]]]):
+        f.write_text(json.dumps(dict(cfg, boxes=boxes)))
+        assert run_cli("disjoint", "--config", str(f)) == 2
+        assert "$.boxes" in capsys.readouterr().err
 
 
 def test_run_config_dispatch(tmp_path, capsys):

@@ -148,8 +148,8 @@ def test_shift_conjugation_preserves_lengths():
     f = hp.HamiltonianPath((hp.Piece(0.0, 1.0, h),), 2, grid)
     g = conjugate_by_shift(f, 1.5)   # 1.5 = 6 cells on this grid
     for k in (0, 1, 2):
-        a = ln.length_k(f, k, grid, 10, check_support=False).total
-        b = ln.length_k(g, k, grid, 10, check_support=False).total
+        a = ln.length_k(f, k, grid, 10).total
+        b = ln.length_k(g, k, grid, 10).total
         assert b == pytest.approx(a, rel=1e-6)
 
 

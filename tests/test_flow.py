@@ -94,6 +94,16 @@ def test_displaced_shifted_ball():
     assert cert.samples == cloud.points.shape[0]
 
 
+def test_displaced_blocked_margin_matches_unblocked():
+    cloud = _ball_cloud(0.5, n=F.DISPLACED_BLOCK + 300, seed=1)
+    fm = F.integrate(apath("2*x1"), cloud, 16)
+    cert = F.displaced(fm, F.ball_region([0.0, 0.0], 0.5))
+    assert cert.samples > F.DISPLACED_BLOCK
+    a0, a1 = fm.initial.points, fm.final.points
+    d2 = np.sum((a1[:, None, :] - a0[None, :, :]) ** 2, axis=-1)
+    assert cert.margin == float(np.sqrt(d2.min()))
+
+
 def test_blow_up_guard():
     f = apath("-100*y1")      # dx/dt = +100
     cloud = F.TracerCloud(np.array([[0.0, 0.0]]))

@@ -159,14 +159,6 @@ def test_grid_json_roundtrip():
         assert G.Grid.from_json(g.to_json()) == g
 
 
-def test_field_csv_roundtrip():
-    g = G.Grid.box([-1, -1], [1, 1], (5, 5))
-    f = G.sample(E.parse("x1*y1 + 2"), g, 0.0)
-    text = G.field_to_csv(f)
-    back = G.field_from_csv(text, g)
-    assert np.array_equal(back.values, f.values)
-
-
 def test_support_margin_warning():
     g = box(16, 1.0)
     leaky = G.sample(E.parse("x1"), g, 0.0)

@@ -70,7 +70,7 @@ def test_monotone_in_k():
     rng = np.random.default_rng(0)
     for _ in range(10):
         f = corpus.random_path(rng)
-        rep = L.length_k(f, 4, time_samples=10, check_support=False)
+        rep = L.length_k(f, 4, time_samples=10)
         totals = np.cumsum(rep.per_order)
         assert np.all(np.diff(totals) >= 0)
         assert all(v >= 0 for v in rep.per_order)
@@ -80,8 +80,8 @@ def test_reverse_invariance():
     rng = np.random.default_rng(1)
     for _ in range(8):
         f = corpus.random_path(rng)
-        a = L.length_k(f, 3, time_samples=10, check_support=False).total
-        b = L.length_k(hp.reverse(f), 3, time_samples=10, check_support=False).total
+        a = L.length_k(f, 3, time_samples=10).total
+        b = L.length_k(hp.reverse(f), 3, time_samples=10).total
         assert b == pytest.approx(a, rel=1e-9)
 
 
@@ -91,9 +91,9 @@ def test_concatenate_exact_identity_and_bound():
         f = corpus.random_path(rng)
         g = corpus.random_path(rng)
         c = hp.concatenate(f, g)
-        rc = L.length_k(c, 2, time_samples=10, check_support=False)
-        rf = L.length_k(f, 2, time_samples=10, check_support=False)
-        rg = L.length_k(g, 2, time_samples=10, check_support=False)
+        rc = L.length_k(c, 2, time_samples=10)
+        rf = L.length_k(f, 2, time_samples=10)
+        rg = L.length_k(g, 2, time_samples=10)
         for i in range(3):
             want = 2.0 ** i * (rf.per_order[i] + rg.per_order[i])
             assert rc.per_order[i] == pytest.approx(want, rel=1e-9)
@@ -114,8 +114,8 @@ def test_reparametrization_invariance_order_zero():
         f = corpus.random_path(rng, smooth=True)
         s = corpus.random_time_change(rng)
         g = hp.reparametrize(f, s)
-        a = L.length_k(f, 0, time_samples=30, check_support=False).total
-        b = L.length_k(g, 0, time_samples=30, check_support=False).total
+        a = L.length_k(f, 0, time_samples=30).total
+        b = L.length_k(g, 0, time_samples=30).total
         assert b == pytest.approx(a, rel=1e-8)
 
 
@@ -123,8 +123,8 @@ def test_reparametrization_changes_higher_orders():
     # two-speed replay of a time-dependent path changes the order-1 term
     f = path_of((0.0, 1.0, f"t*{BUMP}"))
     g = hp.reparametrize(f, corpus.two_speed_time_change(0.7))
-    a = L.length_k(f, 1, GRID, 30, check_support=False).total
-    b = L.length_k(g, 1, GRID, 30, check_support=False).total
+    a = L.length_k(f, 1, GRID, 30).total
+    b = L.length_k(g, 1, GRID, 30).total
     assert abs(a - b) > 1e-3
 
 
@@ -135,14 +135,14 @@ def test_conjugation_invariance_lattice_adapted():
     theta = hp.AffineSymplectic.translation([h_cell * 2, -h_cell])
     g = hp.conjugate(f, theta)
     for k in (0, 2):
-        a = L.length_k(f, k, GRID, 10, check_support=False).total
-        b = L.length_k(g, k, GRID, 10, check_support=False).total
+        a = L.length_k(f, k, GRID, 10).total
+        b = L.length_k(g, k, GRID, 10).total
         assert b == pytest.approx(a, rel=1e-6)
     # quarter-turn rotation preserves the centered lattice too
     rot = hp.AffineSymplectic(np.array([[0.0, -1.0], [1.0, 0.0]]), np.zeros(2))
     gr = hp.conjugate(f, rot)
-    a = L.length_k(f, 1, GRID, 10, check_support=False).total
-    b = L.length_k(gr, 1, GRID, 10, check_support=False).total
+    a = L.length_k(f, 1, GRID, 10).total
+    b = L.length_k(gr, 1, GRID, 10).total
     assert b == pytest.approx(a, rel=1e-6)
 
 
@@ -167,7 +167,7 @@ def test_coarse_dominates_integral():
     rng = np.random.default_rng(4)
     for _ in range(6):
         f = corpus.random_path(rng)
-        a = L.length_k(f, 2, time_samples=10, check_support=False).total
+        a = L.length_k(f, 2, time_samples=10).total
         b = L.coarse_length_k(f, 2, time_samples=65).total
         assert a <= b + 1e-12
 
@@ -191,8 +191,8 @@ def test_quadrature_convergence():
     # profile with single-sign derivatives of every order, so each per-order
     # integrand is smooth and the composite rule converges at spectral rate
     f = path_of((0.0, 1.0, f"exp(t)*{BUMP}"))
-    a = L.length_k(f, 2, GRID, 10, check_support=False).total
-    b = L.length_k(f, 2, GRID, 20, check_support=False).total
+    a = L.length_k(f, 2, GRID, 10).total
+    b = L.length_k(f, 2, GRID, 20).total
     assert b == pytest.approx(a, rel=1e-6)
 
 
@@ -231,7 +231,7 @@ def test_potential_only_reduces_to_plain_length():
     ham = hp.HamiltonianPath((hp.Piece(0.0, 1.0, E.parse(u)),), 2, grid)
     for k in (0, 1, 2):
         a = L.hofer_like_length_k(phi, k, time_samples=10).total
-        b = L.length_k(ham, k, grid, 10, check_support=False).total
+        b = L.length_k(ham, k, grid, 10).total
         assert a == pytest.approx(b, rel=1e-12)
 
 

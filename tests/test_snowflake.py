@@ -1,5 +1,7 @@
 """Snowflake transform on finite groups, with enumeration oracles."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -103,12 +105,31 @@ def test_dijkstra_equals_brute_force(name):
         assert np.abs(a - b).max() <= 1e-12
 
 
+def raw_word_enumeration(g, max_n):
+    """Literal product iteration over all words; tiny groups only."""
+    if g.order ** max_n > 10 ** 6:
+        raise BudgetExceeded("raw enumeration is reserved for tiny groups")
+    alpha = S.generic_alpha(S.quasi_constant(g))
+    costs = np.where(np.isfinite(g.weights), g.weights ** alpha, np.inf)
+    best = np.full(g.order, np.inf)
+    for n_fac in range(1, max_n + 1):
+        for word in itertools.product(range(g.order), repeat=n_fac):
+            prod = word[0]
+            cost = costs[word[0]]
+            for s in word[1:]:
+                prod = int(g.table[prod, s])
+                cost += costs[s]
+            if cost < best[prod]:
+                best[prod] = cost
+    return np.where(np.isfinite(best), best ** (1.0 / alpha), np.inf)
+
+
 def test_three_way_oracle_on_z5():
     rng = np.random.default_rng(9)
     g = GROUPS["Z5"].with_weights(corpus.random_weights(rng, GROUPS["Z5"]))
     a = S.sharp(g).psi_sharp
     b = S.brute_force_sharp(g, 5)
-    c = S.raw_word_enumeration(g, 5)
+    c = raw_word_enumeration(g, 5)
     assert np.abs(a - b).max() == 0.0
     assert np.abs(a - c).max() == 0.0
 
