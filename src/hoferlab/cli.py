@@ -34,7 +34,7 @@ from .errors import ConfigInvalid, HoferLabError
 from .experiments import (commutator_bound_report, constants, disjoint_bound_check,
                           shell_decay_report, shift_certificate, square_displacement)
 from .grid import Grid, check_support_margin, sample
-from .hampath import AffineSymplectic, HamiltonianPath
+from .hampath import AffineSymplectic, HamiltonianPath, box_corners
 from .verify import run_suite, summary_bytes
 
 EXIT_OK = 0
@@ -222,14 +222,6 @@ def cmd_constants(args):
     return EXIT_OK
 
 
-def _box(spec, dimension):
-    """A [[lo...], [hi...]] box whose corners have ``dimension`` coordinates."""
-    lo, hi = (tuple(map(float, corner)) for corner in spec)
-    if len(lo) != dimension or len(hi) != dimension:
-        raise ValueError(f"corners need {dimension} coordinates each")
-    return lo, hi
-
-
 def cmd_disjoint(args):
     cfg = _load_json(args.config, "config")
     for key in ("paths", "boxes", "k"):
@@ -239,10 +231,7 @@ def cmd_disjoint(args):
         raise ConfigInvalid("'paths' must list at least one path", "$.paths")
     paths = [_from_spec(HamiltonianPath.from_json, p, "path spec", f"$.paths[{i}]")
              for i, p in enumerate(cfg["paths"])]
-    if not isinstance(cfg["boxes"], list) or len(cfg["boxes"]) != len(paths):
-        raise ConfigInvalid(f"'boxes' must list one box per path ({len(paths)})", "$.boxes")
-    boxes = [_from_spec(lambda b: _box(b, f.dimension), b, "box", f"$.boxes[{i}]")
-             for i, (f, b) in enumerate(zip(paths, cfg["boxes"]))]
+    boxes = _from_spec(lambda b: box_corners(paths, b), cfg["boxes"], "boxes", "$.boxes")
     rep = disjoint_bound_check(paths, boxes, int(cfg["k"]))
     _emit(rep.to_json(), args.out)
     return EXIT_OK if rep.ok() else EXIT_CHECK_FAILED

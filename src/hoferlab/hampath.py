@@ -276,11 +276,29 @@ def _common_division(paths):
     return merged
 
 
+def box_corners(paths, boxes):
+    """One (lo, hi) pair of corner arrays per path, each of the path's dimension.
+
+    Raises ValueError naming the count or ``boxes[i]`` otherwise.
+    """
+    boxes = list(boxes)
+    if len(boxes) != len(paths):
+        raise ValueError(f"need one box per path: {len(paths)} paths, {len(boxes)} boxes")
+    out = []
+    for i, (f, box) in enumerate(zip(paths, boxes)):
+        corners = [np.asarray(c, dtype=float) for c in box]
+        if len(corners) != 2 or any(c.shape != (f.dimension,) for c in corners):
+            raise ValueError(f"boxes[{i}] must be [lo, hi] corners of "
+                             f"{f.dimension} coordinates each")
+        out.append(tuple(corners))
+    return out
+
+
 def validate_disjoint_supports(paths, boxes, grid):
     """Sampling check that each path's Hamiltonian vanishes outside its box."""
+    boxes = box_corners(paths, boxes)
     pts = grid.points()
-    for f, box in zip(paths, boxes):
-        lo, hi = np.asarray(box[0], float), np.asarray(box[1], float)
+    for f, (lo, hi) in zip(paths, boxes):
         outside = np.any((pts < lo) | (pts > hi), axis=1)
         if not outside.any():
             continue

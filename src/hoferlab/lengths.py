@@ -85,14 +85,14 @@ def _time_rule(piece, time_samples):
 def _size_table(expressions, pts, times, size):
     """(times x expressions) table of ``size`` of each expression sampled on ``pts``.
 
-    Every length functional is a reduction of this table; one (N,) array
-    is alive per evaluation.
+    Every length functional is a reduction of this table. The values come
+    from ``expr.eval_over_time`` in blocks of time nodes, so one block of at
+    most ``expr.TABLE_BLOCK`` values (or one (N,) row, when N is larger) is
+    alive per evaluation, plus one (N,) array per t-free subtree of the chain.
     """
     table = np.empty((len(times), len(expressions)))
-    for j, t in enumerate(times):
-        env = ex.point_env(pts, t)
-        for i, e in enumerate(expressions):
-            table[j, i] = size(ex.eval_array(e, env, pts.shape[0]))
+    for rows, i, vals in ex.eval_over_time(expressions, pts, times):
+        table[rows, i] = [size(row) for row in vals]
     return table
 
 
@@ -276,11 +276,13 @@ def hofer_like_length_k(phi: TorusSymplecticPath, k: int, grid: Grid = None,
 def flux_harmonic(phi: TorusSymplecticPath) -> np.ndarray:
     """Componentwise time integral of the constant-form coefficients."""
     out = np.zeros(phi.dimension)
+    origin = np.zeros((1, phi.dimension))
     for piece in phi.pieces:
         nodes, weights = _time_rule(piece, 20)
-        for j, lam in enumerate(piece.harmonic):
-            vals = np.array([float(ex.eval_env(lam, {"t": float(t)})) for t in nodes])
-            out[j] += float(np.dot(weights, vals))
+        # contiguous rows: np.dot sums a strided column in another order
+        vals = _size_table(piece.harmonic, origin, nodes, lambda v: float(v[0])).T.copy()
+        for j in range(phi.dimension):
+            out[j] += float(np.dot(weights, vals[j]))
     return out
 
 

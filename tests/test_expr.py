@@ -1,10 +1,11 @@
 """Parser, printer, differentiation, and cutoff evaluation."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hoferlab import expr as E
 from hoferlab.errors import DomainError, ExprSyntaxError, UnknownIdentifier
@@ -206,3 +207,90 @@ def test_spatial_dimension():
     assert E.spatial_dimension(E.parse("t")) == 0
     assert E.spatial_dimension(E.parse("x1 + y1")) == 2
     assert E.spatial_dimension(E.parse("y3")) == 6
+
+
+# --- eval_over_time against a per-node eval_array loop (the oracle) ---
+
+# raw constructors keep constant-only subtrees such as 2*3 unfolded
+_oracle_leaf = st.sampled_from([E.Var("x1"), E.Var("y1"), E.Var("t"),
+                                E.Const(2.0), E.Const(-0.5), E.Const(0.75)])
+
+
+def _oracle_trees(depth):
+    if depth == 0:
+        return _oracle_leaf
+    sub = _oracle_trees(depth - 1)
+    return st.one_of(
+        _oracle_leaf,
+        st.builds(E.Add, sub, sub),
+        st.builds(E.Sub, sub, sub),
+        st.builds(E.Mul, sub, sub),
+        st.builds(E.Div, sub, sub),
+        st.builds(E.Neg, sub),
+        st.builds(E.IntPow, sub, st.sampled_from([-3, -2, -1, 2, 3])),
+        st.builds(E.Call, st.sampled_from(["sin", "cos", "exp", "sqrt"]), sub),
+        st.builds(E.Step, sub, st.just(0.25), st.just(0.75), st.integers(0, 3)),
+    )
+
+
+_ORACLE_PTS = np.array([[0.1, -0.4], [0.0, 0.5], [-0.7, 0.3], [0.45, 0.05],
+                        [0.6, -0.2], [-0.3, -0.65], [0.2, 0.7]])
+_ORACLE_TIMES = np.array([0.0, 0.125, 0.3, 0.5, 0.62])
+
+
+def _outcome(compute):
+    with np.errstate(all="ignore"):
+        try:
+            return compute()
+        except (DomainError, OverflowError) as err:
+            return type(err)
+
+
+def _per_node_table(exprs, pts, times):
+    return np.array([[E.eval_array(e, E.point_env(pts, t), len(pts)) for e in exprs]
+                     for t in times])
+
+
+def _kernel_table(exprs, pts, times):
+    out = np.empty((len(times), len(exprs), len(pts)))
+    for rows, i, vals in E.eval_over_time(exprs, pts, times):
+        out[rows, i] = vals
+    return out
+
+
+def _same(a, b):
+    if isinstance(a, type) or isinstance(b, type):
+        return a is b
+    return np.array_equal(a, b, equal_nan=True)
+
+
+@given(_oracle_trees(4))
+@example(E.Mul(E.Step(E.Sub(E.Var("x1"), E.Var("t")), 0.25, 0.75, 2), E.Var("y1")))
+@example(E.Div(E.Var("x1"), E.Add(E.Var("t"), E.Const(0.75))))
+@example(E.Mul(E.IntPow(E.Add(E.Var("t"), E.Const(0.75)), -3), E.Var("y1")))
+@example(E.Mul(E.Call("sqrt", E.Var("t")), E.Mul(E.Const(2.0), E.Const(-0.5))))
+@example(E.Add(E.Mul(E.Var("t"), E.Var("x1")), E.Call("sqrt", E.Var("x1"))))
+@example(E.Div(E.Var("t"), E.Var("x1")))
+@settings(max_examples=300, deadline=None)
+def test_eval_over_time_matches_per_node_eval(tree):
+    # a derivative chain shares subtrees between its entries; leaves are rows too
+    exprs = E.time_derivatives(tree, 2) + [E.Const(0.75), E.Var("y1"), E.Var("t")]
+    want = _outcome(lambda: _per_node_table(exprs, _ORACLE_PTS, _ORACLE_TIMES))
+    got = _outcome(lambda: _kernel_table(exprs, _ORACLE_PTS, _ORACLE_TIMES))
+    assert _same(got, want)
+    # blocks of one time node (TABLE_BLOCK below N) and of two, which do not divide T
+    for block in (3, 2 * len(_ORACLE_PTS)):
+        with mock.patch.object(E, "TABLE_BLOCK", block):
+            small = _outcome(lambda: _kernel_table(exprs, _ORACLE_PTS, _ORACLE_TIMES))
+        assert _same(small, want)
+
+
+def test_eval_over_time_hoists_the_cutoffs():
+    # a t-free cutoff is evaluated once per table, not once per time node
+    bump = E.parse("step(x1/0.8, 0.5, 1)*step(y1/0.8, 0.5, 1)")
+    chain = E.time_derivatives(E.mul(E.parse("sin(3*t) + t^2"), bump), 3)
+    times = np.linspace(0.0, 1.0, 40)
+    with mock.patch.object(E, "step_values", wraps=E.step_values) as spy:
+        table = _kernel_table(chain, _ORACLE_PTS, times)
+    assert spy.call_count == 2
+    assert np.array_equal(table, _per_node_table(chain, _ORACLE_PTS, times))

@@ -193,6 +193,20 @@ def test_disjoint_product_rejects_leaky_support():
         hp.disjoint_product([f, g], boxes=boxes, grid=GRID)
 
 
+def test_validate_disjoint_supports_needs_one_box_per_path():
+    p = bump_path(0.0, 0.0)
+    box = ((-0.75, -0.75), (0.75, 0.75))
+    hp.validate_disjoint_supports([p], [box], GRID)
+    # two identical paths with one box: before, only the first was checked
+    with pytest.raises(ValueError, match="2 paths, 1 boxes"):
+        hp.validate_disjoint_supports([p, p], [box], GRID)
+    # a 1-D corner of a 2-D path: before, it was broadcast over both axes
+    with pytest.raises(ValueError, match=r"boxes\[0\]"):
+        hp.validate_disjoint_supports([p], [((-0.5,), (0.5,))], GRID)
+    with pytest.raises(ValueError, match=r"boxes\[0\]"):
+        hp.disjoint_product([p], boxes=[(box[0], box[1], box[1])], grid=GRID)
+
+
 def test_path_json_roundtrip():
     f = path_of((0.0, 0.25, "t*x1"), (0.25, 1.0, "step(x1, 0.25, 0.75)*y1"))
     back = hp.HamiltonianPath.from_json(f.to_json())

@@ -1,5 +1,8 @@
 """Length functionals: closed forms, algebra identities, torus variant."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from hoferlab import expr as E
 from hoferlab import grid as G
 from hoferlab import hampath as hp
 from hoferlab import lengths as L
+from hoferlab.experiments import square_displacement
 from hoferlab.grid import Grid
 
 GRID = Grid.box([-2.0, -2.0], [2.0, 2.0], (20, 20))
@@ -48,6 +52,27 @@ def test_order_zero_is_plain_length():
     r0 = L.length_k(f, 0, GRID, 20)
     r3 = L.length_k(f, 3, GRID, 20)
     assert r0.total == pytest.approx(r3.per_order[0], rel=1e-12)
+
+
+def test_length_k_memory_stays_bounded():
+    # 3 x 4096 grid; the size table must free its blocks and hoisted
+    # cutoffs when it returns, without waiting for the cyclic collector
+    path, _ = square_displacement(1.0)
+    L.length_k(path, 5, path.domain, 10)
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        for _ in range(6):
+            L.length_k(path, 5, path.domain, 10)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    mib = 2.0 ** 20
+    assert (current - base) / mib < 0.25
+    assert (peak - base) / mib < 1.25
 
 
 def test_report_total_consistency_and_note():
