@@ -686,24 +686,16 @@ def _hoist(e, uses, slots):
     return slots.setdefault(e, (Var(f"_{len(slots)}"), uses))[0]
 
 
-def _powers_t(e):
-    """True when ``e`` raises a t-dependent value to an integer power."""
-    if isinstance(e, IntPow) and "t" in variables(e.base):
-        return True
-    return any(map(_powers_t, _children(e).values()))
-
-
 def eval_over_time(expressions, points, times):
     """Values of each expression at the (N, 2n) ``points`` for every time in ``times``.
 
     Yields ``(rows, i, values)``: ``values`` is a read-only (len(times[rows]), N)
     array whose rows equal ``eval_array`` of expression i at those times.
 
-    Subtrees free of t (the spatial cutoffs) are evaluated once, and
-    subtrees of t alone once over all times. Those that take a power of a
-    t-dependent value are evaluated node by node with a scalar t, as in a
-    per-node loop: numpy's array power differs from the scalar one in the
-    last bit. The rest is evaluated with t bound to a column of at most
+    Subtrees free of t (the spatial cutoffs) are evaluated once. Subtrees
+    of t alone are evaluated node by node with a scalar t, as in a per-node
+    loop, so their values do not depend on how numpy's array functions
+    round. The rest is evaluated with t bound to a column of at most
     max(1, TABLE_BLOCK // N) time nodes, so a block array holds at most
     max(TABLE_BLOCK, N) values.
     """
@@ -715,13 +707,11 @@ def eval_over_time(expressions, points, times):
     times = np.asarray(times, dtype=float)
     columns = {}
     for sub, (slot, uses) in slots.items():
-        if not uses & _T:
-            env[slot.name] = eval_env(sub, env)
-        elif _powers_t(sub):
+        if uses & _T:
             columns[slot.name] = np.array(
                 [float(eval_env(sub, {"t": t})) for t in times.tolist()]).reshape(-1, 1)
         else:
-            columns[slot.name] = eval_env(sub, {"t": times[:, None]})
+            env[slot.name] = eval_env(sub, env)
     block = max(1, TABLE_BLOCK // n)
     for start in range(0, len(times), block):
         rows = slice(start, start + block)
