@@ -30,7 +30,7 @@ import numpy as np
 from . import flow as fl
 from . import lengths as ln
 from . import snowflake as sf
-from .errors import ConfigInvalid, HoferLabError
+from .errors import ConfigInvalid, HoferLabError, ParameterOutOfRange
 from .experiments import (commutator_bound_report, constants, disjoint_bound_check,
                           shell_decay_report, shift_certificate, square_displacement)
 from .grid import Grid, check_support_margin, sample
@@ -84,6 +84,17 @@ def _from_spec(parse, spec, what, key_path):
         raise ConfigInvalid(f"malformed {what}: {err}", key_path) from err
 
 
+def _in_range(compute, key):
+    """compute(), with an out-of-range parameter turned into ConfigInvalid.
+
+    ``key(name)`` is the flag or config key that sets library parameter ``name``.
+    """
+    try:
+        return compute()
+    except ParameterOutOfRange as err:
+        raise ConfigInvalid(str(err), key(err.name)) from err
+
+
 def _path_from_json(spec):
     if spec.get("pieces") and "harmonic" in spec["pieces"][0]:
         return ln.TorusSymplecticPath.from_json(spec)
@@ -127,18 +138,12 @@ def cmd_length(args):
         grid = _load_grid(args.grid)
     if args.kind != "hl" and isinstance(path, ln.TorusSymplecticPath):
         raise ConfigInvalid("split torus paths support kind=hl only", "kind")
-    if args.kind == "k":
-        rep = ln.length_k(path, args.k, grid, args.time_samples)
-    elif args.kind == "coarse":
-        rep = ln.coarse_length_k(path, args.k, grid, max(args.time_samples, 65))
-    elif args.kind == "kp":
-        if args.p is None:
-            raise ConfigInvalid("--p is required for kind=kp", "p")
-        rep = ln.length_kp(path, args.k, args.p, grid, args.time_samples)
-    else:
-        if not isinstance(path, ln.TorusSymplecticPath):
-            raise ConfigInvalid("kind=hl needs a torus path with harmonic pieces", "path")
-        rep = ln.hofer_like_length_k(path, args.k, grid, args.time_samples)
+    if args.kind == "kp" and args.p is None:
+        raise ConfigInvalid("--p is required for kind=kp", "p")
+    if args.kind == "hl" and not isinstance(path, ln.TorusSymplecticPath):
+        raise ConfigInvalid("kind=hl needs a torus path with harmonic pieces", "path")
+    rep = _in_range(lambda: _length_report(args, path, grid),
+                    lambda name: "--" + name.replace("_", "-"))
     # outside input: warn when a piece does not vanish near the box boundary
     if isinstance(path, HamiltonianPath):
         for piece in path.pieces:
@@ -149,6 +154,16 @@ def cmd_length(args):
         with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write(rep.to_csv())
     return EXIT_OK
+
+
+def _length_report(args, path, grid):
+    if args.kind == "k":
+        return ln.length_k(path, args.k, grid, args.time_samples)
+    if args.kind == "coarse":
+        return ln.coarse_length_k(path, args.k, grid, max(args.time_samples, 65))
+    if args.kind == "kp":
+        return ln.length_kp(path, args.k, args.p, grid, args.time_samples)
+    return ln.hofer_like_length_k(path, args.k, grid, args.time_samples)
 
 
 def cmd_flow(args):
@@ -232,7 +247,8 @@ def cmd_disjoint(args):
     paths = [_from_spec(HamiltonianPath.from_json, p, "path spec", f"$.paths[{i}]")
              for i, p in enumerate(cfg["paths"])]
     boxes = _from_spec(lambda b: box_corners(paths, b), cfg["boxes"], "boxes", "$.boxes")
-    rep = disjoint_bound_check(paths, boxes, int(cfg["k"]))
+    k = _from_spec(int, cfg["k"], "k", "$.k")
+    rep = _in_range(lambda: disjoint_bound_check(paths, boxes, k), lambda name: f"$.{name}")
     _emit(rep.to_json(), args.out)
     return EXIT_OK if rep.ok() else EXIT_CHECK_FAILED
 

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all hoferlab modules."""
+"""Exception hierarchy and warning classes shared by all hoferlab modules."""
 
 
 class HoferLabError(Exception):
@@ -69,9 +69,25 @@ class ConjugationUnsupported(HoferLabError):
     """Conjugation requested by a map that is not affine symplectic."""
 
 
+class ParameterOutOfRange(HoferLabError, ValueError):
+    """A numeric argument lies outside its range; ``name`` is the parameter's name."""
+
+    def __init__(self, name, message):
+        super().__init__(message)
+        self.name = name
+
+
 class ConfigInvalid(HoferLabError):
     """Experiment configuration does not validate against the schema."""
 
     def __init__(self, message, key_path="$"):
         super().__init__(f"{message} (at {key_path})")
         self.key_path = key_path
+
+
+class SupportMarginWarning(UserWarning):
+    """Field does not vanish in the outermost cell layer of a box grid."""
+
+
+class StepErrorWarning(UserWarning):
+    """A flow's step-doubling error estimate still misses the requested tolerance."""

@@ -652,6 +652,48 @@ def eval_array(e, env, n):
     return np.asarray(vals, dtype=float)
 
 
+# --- shared subtrees ---
+
+def share_subtrees(expressions):
+    """(assignments, rewritten): ``expressions`` with each repeated subtree computed once.
+
+    Every non-leaf subtree that occurs more than once across the expressions
+    (an occurrence inside a repeated subtree counts once) becomes a
+    placeholder variable, keyed structurally. ``assignments`` lists
+    ``(placeholder name, tree)`` in evaluation order, each tree naming only
+    earlier placeholders. Binding each ``eval_env(tree, env)`` into ``env`` in
+    turn and then evaluating ``rewritten`` gives the values of
+    ``expressions``.
+    """
+    uses = {}
+
+    def count(e):
+        uses[e] = uses.get(e, 0) + 1
+        if uses[e] == 1:
+            for c in _children(e).values():
+                count(c)
+
+    for e in expressions:
+        count(e)
+    names = {}
+    assignments = []
+
+    def rewrite(e):
+        if e in names:
+            return names[e]
+        children = _children(e)
+        if not children:
+            return e
+        out = replace(e, **{k: rewrite(c) for k, c in children.items()})
+        if uses[e] == 1:
+            return out
+        names[e] = Var(f"_{len(assignments)}")
+        assignments.append((names[e].name, out))
+        return names[e]
+
+    return assignments, [rewrite(e) for e in expressions]
+
+
 # --- time-blocked evaluation of derivative chains ---
 
 # (time node, point) values per block in eval_over_time: 256 KiB of float64

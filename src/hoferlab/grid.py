@@ -17,11 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as ex
-from .errors import GeometryError
-
-
-class SupportMarginWarning(UserWarning):
-    """Field does not vanish in the outermost cell layer of a box grid."""
+from .errors import GeometryError, SupportMarginWarning
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import expr as ex
-from .errors import GeometryError
+from .errors import GeometryError, ParameterOutOfRange
 from .grid import Grid
 from .hampath import HamiltonianPath
 
@@ -125,7 +125,7 @@ def length_kp(f: HamiltonianPath, k: int, p: float, grid: Grid = None,
               time_samples: int = 10) -> LengthReport:
     """Sum_{i<=k} integral of the spatial L_p norm of d^i H / dt^i."""
     if p <= 0:
-        raise ValueError("p must be > 0")
+        raise ParameterOutOfRange("p", "p must be > 0")
     vol = (grid or f.domain).cell_volume
 
     def lp(vals):
@@ -136,9 +136,9 @@ def length_kp(f: HamiltonianPath, k: int, p: float, grid: Grid = None,
 
 def _integral_length(f, k, grid, time_samples, size, kind, **quad_extra):
     if k < 0:
-        raise ValueError("k must be >= 0")
+        raise ParameterOutOfRange("k", "k must be >= 0")
     if time_samples < 8:
-        raise ValueError("need at least 8 time samples per piece")
+        raise ParameterOutOfRange("time_samples", "need at least 8 time samples per piece")
     grid = grid or f.domain
     pts = grid.points()
     per_piece = []
@@ -176,9 +176,9 @@ def coarse_length_k(f: HamiltonianPath, k: int, grid: Grid = None,
     point cannot change the result.
     """
     if k < 0:
-        raise ValueError("k must be >= 0")
+        raise ParameterOutOfRange("k", "k must be >= 0")
     if time_samples < 8:
-        raise ValueError("need at least 8 time samples")
+        raise ParameterOutOfRange("time_samples", "need at least 8 time samples")
     grid = grid or f.domain
     pts = grid.points()
     lattice = np.linspace(0.0, 1.0, time_samples)
@@ -254,7 +254,7 @@ def hofer_like_length_k(phi: TorusSymplecticPath, k: int, grid: Grid = None,
     """Sum_{i<=k} integral of (l^1 of coefficient derivatives + osc of the
     potential's derivative)."""
     if k < 0:
-        raise ValueError("k must be >= 0")
+        raise ParameterOutOfRange("k", "k must be >= 0")
     grid = grid or phi.domain
     pts = grid.points()
     origin = np.zeros((1, phi.dimension))

@@ -63,9 +63,16 @@ def test_length_warns_on_support_margin_for_every_kind(tmp_path, capsys):
         ln.length_k(path, 1)
 
 
-def test_length_kp_requires_p(tmp_path):
+def test_length_kp_requires_p(tmp_path, capsys):
     p = path_json(tmp_path)
     assert run_cli("length", "--path", p, "--kind", "kp") == 2
+    # out-of-range numbers are config errors naming the flag, not tracebacks
+    for extra, flag in ((["--kind", "kp", "--p", "0"], "--p"), (["--k", "-1"], "--k"),
+                        (["--kind", "coarse", "--k", "-1"], "--k"),
+                        (["--time-samples", "3"], "--time-samples")):
+        capsys.readouterr()
+        assert run_cli("length", "--path", p, *extra) == 2
+        assert f"(at {flag})" in capsys.readouterr().err
 
 
 def torus_path_json(tmp_path):
@@ -210,6 +217,11 @@ def test_disjoint_subcommand(tmp_path, capsys):
     f = tmp_path / "disjoint.json"
     f.write_text(json.dumps(cfg))
     assert run_cli("disjoint", "--config", str(f)) == 0
+    capsys.readouterr()
+    for k in (-1, "one"):
+        f.write_text(json.dumps(dict(cfg, k=k)))
+        assert run_cli("disjoint", "--config", str(f)) == 2
+        assert "$.k" in capsys.readouterr().err
     f.write_text(json.dumps({"k": 1}))
     assert run_cli("disjoint", "--config", str(f)) == 2
     capsys.readouterr()

@@ -294,3 +294,53 @@ def test_eval_over_time_hoists_the_cutoffs():
         table = _kernel_table(chain, _ORACLE_PTS, times)
     assert spy.call_count == 2
     assert np.array_equal(table, _per_node_table(chain, _ORACLE_PTS, times))
+
+
+# --- share_subtrees against eval_env on the originals (the oracle) ---
+
+def _shared_values(exprs, env):
+    assignments, rewritten = E.share_subtrees(exprs)
+    env = dict(env)
+    for name, e in assignments:
+        env[name] = E.eval_env(e, env)
+    return [E.eval_env(e, env) for e in rewritten]
+
+
+def _same_list(got, want):
+    if isinstance(got, type) or isinstance(want, type):
+        return got is want
+    return len(got) == len(want) and all(map(_same, got, want))
+
+
+@given(st.lists(_oracle_trees(3), min_size=1, max_size=3))
+@example([E.Div(E.Var("x1"), E.Sub(E.Var("y1"), E.Var("y1")))])
+@example([E.Call("sqrt", E.Sub(E.Var("t"), E.Const(0.75)))])
+@settings(max_examples=300, deadline=None)
+def test_share_subtrees_matches_eval_env(trees):
+    # gradients and sums of the drawn trees share subtrees with them and each other
+    exprs = trees + [E.diff(trees[0], "x1"), E.diff(trees[0], "y1"),
+                     E.Mul(trees[0], trees[-1]),
+                     E.Step(E.Add(trees[-1], E.Var("t")), 0.25, 0.75, 1)]
+    env = E.point_env(_ORACLE_PTS, 0.3)
+    want = _outcome(lambda: [E.eval_env(e, env) for e in exprs])
+    got = _outcome(lambda: _shared_values(exprs, env))
+    assert _same_list(got, want)
+
+
+def test_share_subtrees_evaluates_the_gaussian_factor_once():
+    h = E.parse("0.9*exp(-((x1 - 0.3)^2 + (y1 + 0.2)^2)/1.28)*(1 + 0.5*sin(3*t))")
+    field = [E.neg(E.diff(h, "y1")), E.diff(h, "x1")]
+    assignments, rewritten = E.share_subtrees(field)
+    trees = [e for _, e in assignments] + rewritten
+
+    def calls(e, func):
+        return (isinstance(e, E.Call) and e.func == func) + sum(
+            calls(c, func) for c in E._children(e).values())
+
+    assert sum(calls(e, "exp") for e in trees) == 1
+    assert sum(calls(e, "sin") for e in trees) == 1
+    assert sum(calls(e, "exp") for e in field) == 2
+    # each assignment names only earlier placeholders
+    for i, (_, e) in enumerate(assignments):
+        assert {v for v in E.variables(e) if v.startswith("_")} <= {
+            name for name, _ in assignments[:i]}

@@ -1,12 +1,14 @@
 """Tracer integration, distances, and displacement certificates."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from hoferlab import expr as E
 from hoferlab import flow as F
 from hoferlab import hampath as hp
-from hoferlab.errors import BlowUp, CloudMismatch, GradientUnavailable
+from hoferlab.errors import BlowUp, CloudMismatch, GradientUnavailable, StepErrorWarning
 from hoferlab.grid import Grid
 
 GRID = Grid.box([-4.0, -4.0], [4.0, 4.0], (8, 8))
@@ -102,6 +104,18 @@ def test_displaced_blocked_margin_matches_unblocked():
     a0, a1 = fm.initial.points, fm.final.points
     d2 = np.sum((a1[:, None, :] - a0[None, :, :]) ** 2, axis=-1)
     assert cert.margin == float(np.sqrt(d2.min()))
+    # in 4-D and 6-D the shift moves (x1, y1) by (0, 2) and leaves the other
+    # axes, so the margin sums squares over every axis
+    for dim in (4, 6):
+        rng = np.random.default_rng(dim)
+        pts = rng.uniform(-0.3, 0.3, (4 * F.DISPLACED_BLOCK, dim))
+        pts = pts[np.linalg.norm(pts, axis=1) < 0.5][:F.DISPLACED_BLOCK + 300]
+        fm = F.integrate(apath("2*x1"), F.TracerCloud(pts), 16)
+        cert = F.displaced(fm, F.ball_region(np.zeros(dim), 0.5))
+        assert cert.samples == F.DISPLACED_BLOCK + 300 and cert.displaced
+        a0, a1 = fm.initial.points, fm.final.points
+        d2 = np.sum((a1[:, None, :] - a0[None, :, :]) ** 2, axis=-1)
+        assert cert.margin == float(np.sqrt(d2.min()))
 
 
 def test_blow_up_guard():
@@ -117,6 +131,44 @@ def test_error_estimate_and_auto_doubling():
     fm = F.integrate(f, cloud, 16, tol=1e-10)
     assert fm.stats["steps_per_piece"] > 16
     assert fm.stats["max_step_error"] <= 1e-10
+
+
+def test_doubling_reuses_the_previous_round(monkeypatch):
+    # each round's half-step run is the previous round's result
+    f = hp.concatenate(apath("(x1*x1 + y1*y1)/2 + x1^4/8"), apath("2*x1"))
+    cloud = F.TracerCloud(np.array([[1.2, 0.0], [0.5, 0.9]]))
+    counted = []
+    rk4 = F._rk4
+
+    def counting_rk4(field, pts, t0, t1, steps, safety_radius):
+        counted.append(steps)
+        return rk4(field, pts, t0, t1, steps, safety_radius)
+
+    monkeypatch.setattr(F, "_rk4", counting_rk4)
+    fm = F.integrate(f, cloud, 16, tol=1e-10)
+    last = fm.stats["steps_per_piece"]
+    assert last >= 64                       # at least two doublings
+    rounds = [16 * 2 ** r for r in range(int(np.log2(last // 16)) + 1)]
+    assert sum(counted) == 2 * (8 + sum(rounds))
+    assert sum(counted) != 2 * sum(s + s // 2 for s in rounds)
+    direct = F.integrate(f, cloud, last)
+    assert np.array_equal(fm.final.points, direct.final.points)
+    assert fm.stats["max_step_error"] == direct.stats["max_step_error"]
+
+
+def test_missed_tolerance_warns():
+    # a fast rotation after 2 * 2**MAX_DOUBLINGS steps is still far from 1e-12
+    f = apath("20*(x1*x1 + y1*y1)/2")
+    cloud = F.TracerCloud(np.array([[1.0, 0.0], [0.3, -0.7]]))
+    with pytest.warns(StepErrorWarning, match="misses tol 1e-12 at 128 steps"):
+        fm = F.integrate(f, cloud, 2, tol=1e-12)
+    assert fm.stats["steps_per_piece"] == 2 * 2 ** F.MAX_DOUBLINGS
+    assert fm.stats["max_step_error"] > 1e-12
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", StepErrorWarning)
+        untolerated = F.integrate(f, cloud, fm.stats["steps_per_piece"])
+    assert np.array_equal(untolerated.final.points, fm.final.points)
+    assert untolerated.stats == fm.stats
 
 
 def test_area_conservation_nonlinear():
