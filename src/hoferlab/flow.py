@@ -213,7 +213,10 @@ def _squared_distances(rows, cols):
     """(len(rows), len(cols)) squared distances, summed one axis at a time.
 
     Pairwise without scipy and without a (rows, cols, 2n) temporary; callers
-    pass blocks of rows so memory stays O(DISPLACED_BLOCK * len(cols)).
+    pass blocks of rows so memory stays O(DISPLACED_BLOCK * len(cols)). For
+    2n < 8 the sums equal ``np.sum(..., axis=-1)`` of that temporary bit for
+    bit (NumPy adds fewer than 8 terms in order); from 2n = 8 on NumPy sums
+    pairwise, so they can differ in the last bit.
     """
     d2 = (rows[:, None, 0] - cols[None, :, 0]) ** 2
     for j in range(1, rows.shape[1]):
