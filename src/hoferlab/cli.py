@@ -189,8 +189,8 @@ def cmd_flow(args):
 def cmd_gm(args):
     m_values = [int(m) for m in args.m.split(",")]
     orders = [int(i) for i in args.orders.split(",")] if args.orders else None
-    rep = shell_decay_report(m_values, args.k, args.p, orders=orders,
-                             closed_mode=args.closed)
+    rep = _in_range(lambda: shell_decay_report(m_values, args.k, args.p, orders=orders,
+                                               closed_mode=args.closed), "--{}".format)
     _emit(rep.to_json(), args.out)
     if args.out_dir:
         os.makedirs(args.out_dir, exist_ok=True)
@@ -202,13 +202,13 @@ def cmd_gm(args):
 
 
 def cmd_displace(args):
-    _, cert = square_displacement(args.c, k_max=args.k_max)
+    _, cert = _in_range(lambda: square_displacement(args.c, k_max=args.k_max), {"area": "--c"}.get)
     _emit(cert.to_json(), args.out)
     return EXIT_OK if cert.ok() else EXIT_CHECK_FAILED
 
 
 def cmd_shift(args):
-    cert = shift_certificate(args.v, args.eps)
+    cert = _in_range(lambda: shift_certificate(args.v, args.eps), "--{}".format)
     _emit(cert.to_json(), args.out)
     return EXIT_OK if cert.ok() else EXIT_CHECK_FAILED
 
@@ -225,7 +225,7 @@ def cmd_commutator(args):
 
 
 def cmd_constants(args):
-    ledger = constants(args.k)
+    ledger = _in_range(lambda: constants(args.k), "--{}".format)
     if args.csv:
         print(ledger.to_csv(), end="")
     else:

@@ -26,6 +26,8 @@ import io
 from dataclasses import dataclass
 from fractions import Fraction
 
+from ..errors import ParameterOutOfRange
+
 K0_NOTE = "for k=0 the constant can be chosen as 128"
 
 ENTRY_ORDER = (
@@ -81,7 +83,7 @@ def scale_sum(k: int) -> int:
 
 def constants(k: int) -> ConstantsLedger:
     if not 0 <= k <= 20:
-        raise ValueError("k must be in [0, 20]")
+        raise ParameterOutOfRange("k", "k must be in [0, 20]")
     s = scale_sum(k)
     entries = {
         "quasi_triangle": 2 ** k,

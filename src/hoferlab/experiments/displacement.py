@@ -28,7 +28,7 @@ import numpy as np
 from .. import expr as ex
 from .. import flow as fl
 from .. import lengths as ln
-from ..errors import CertificateFailed
+from ..errors import CertificateFailed, ParameterOutOfRange
 from ..grid import Grid
 from ..hampath import AffineSymplectic, HamiltonianPath, autonomous_path, conjugate
 
@@ -61,7 +61,7 @@ def square_displacement(area: float, k_max: int = 5, eps: float = 0.004):
     displacement or the length budget (2% of the area) fails.
     """
     if area <= 0:
-        raise ValueError("area must be positive")
+        raise ParameterOutOfRange("area", "area must be positive")
     a = math.sqrt(area)
     v = a * (1.0 + eps)
     mu = 0.002 * a
@@ -112,8 +112,10 @@ class ShiftCertificate:
 
 def half_space_shift(v: float, eps: float) -> HamiltonianPath:
     """Path generated by H = -eta(x1) * v * y1 shifting {x1 >= 0} by +v."""
-    if v <= 0 or eps <= 0:
-        raise ValueError("v and eps must be positive")
+    if v <= 0:
+        raise ParameterOutOfRange("v", "v must be positive")
+    if eps <= 0:
+        raise ParameterOutOfRange("eps", "eps must be positive")
     x1, y1 = ex.Var("x1"), ex.Var("y1")
     # unit-width transition in the scaled argument: eta = 1 on [0, 2*window],
     # 0 left of -eps and right of 2*window + eps

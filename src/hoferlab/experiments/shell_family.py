@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import expr as ex
-from ..errors import ShellUnresolved
+from ..errors import ParameterOutOfRange, ShellUnresolved
 from ..grid import Grid
 from ..hampath import HamiltonianPath, autonomous_path
 from ..lengths import gauss_legendre_panels
@@ -46,7 +46,7 @@ class ShellFamilySpec:
 
     def __post_init__(self):
         if self.m < 1:
-            raise ValueError("m must be >= 1")
+            raise ParameterOutOfRange("m", "m must be >= 1")
 
     @property
     def shell_bounds(self):
@@ -148,7 +148,7 @@ def shell_decay_report(m_values, k: int, p: float, orders=None,
     per-order time integrals.
     """
     if p <= 0:
-        raise ValueError("p must be > 0")
+        raise ParameterOutOfRange("p", "p must be > 0")
     orders = list(range(k + 1)) if orders is None else sorted(orders)
     m_values = tuple(int(m) for m in m_values)
     max_norms = {i: [] for i in orders}

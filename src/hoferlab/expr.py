@@ -451,7 +451,7 @@ def diff(e, name):
         elif e.func == "cos":
             outer = neg(Call("sin", u))
         elif e.func == "exp":
-            outer = Call("exp", u)
+            outer = e
         elif e.func == "sqrt":
             outer = div(Const(0.5), Call("sqrt", u))
         else:
@@ -654,78 +654,64 @@ def eval_array(e, env, n):
 
 # --- shared subtrees ---
 
-def share_subtrees(expressions):
-    """(assignments, rewritten): ``expressions`` with each repeated subtree computed once.
+_T, _X = 1, 2   # what a subtree depends on: t, x/y, both (_T | _X) or neither (0)
 
-    Every non-leaf subtree that occurs more than once across the expressions
-    (an occurrence inside a repeated subtree counts once) becomes a
-    placeholder variable, keyed structurally. ``assignments`` lists
-    ``(placeholder name, tree)`` in evaluation order, each tree naming only
-    earlier placeholders. Binding each ``eval_env(tree, env)`` into ``env`` in
-    turn and then evaluating ``rewritten`` gives the values of
-    ``expressions``.
+
+def share_subtrees(expressions):
+    """(assignments, rewritten): ``expressions`` with their shared subtrees named.
+
+    A non-leaf subtree becomes a placeholder variable when its node object
+    occurs more than once (an occurrence inside a repeated subtree counts
+    once), or when it depends on t alone or not on t and is an expression
+    itself or the child of a node mixing t with x/y. Nodes are keyed by
+    identity, so no tree is hashed. ``assignments`` lists ``(placeholder,
+    tree, dependence)`` in evaluation order, each tree naming only earlier
+    placeholders, dependence being ``_T``, ``_X``, both or neither. Binding
+    each ``eval_env(tree, env)`` into ``env`` in turn and then evaluating
+    ``rewritten`` gives the values of ``expressions``.
     """
-    uses = {}
+    uses, deps, kids = {}, {}, {}
 
     def count(e):
-        uses[e] = uses.get(e, 0) + 1
-        if uses[e] == 1:
-            for c in _children(e).values():
-                count(c)
+        key = id(e)
+        if key in uses:
+            uses[key] += 1
+            return deps[key]
+        uses[key] = 1
+        kids[key] = _children(e)
+        dep = (_T if e.name == "t" else _X) if isinstance(e, Var) else 0
+        for c in kids[key].values():
+            dep |= count(c)
+        deps[key] = dep
+        return dep
 
     for e in expressions:
         count(e)
     names = {}
     assignments = []
 
-    def rewrite(e):
-        if e in names:
-            return names[e]
-        children = _children(e)
+    def rewrite(e, hoist):
+        key = id(e)
+        if key in names:
+            return names[key]
+        children = kids[key]
         if not children:
             return e
-        out = replace(e, **{k: rewrite(c) for k, c in children.items()})
-        if uses[e] == 1:
-            return out
-        names[e] = Var(f"_{len(assignments)}")
-        assignments.append((names[e].name, out))
-        return names[e]
+        mixed = deps[key] == _T | _X
+        out = replace(e, **{k: rewrite(c, mixed) for k, c in children.items()})
+        if uses[key] > 1 or (hoist and not mixed):
+            names[key] = Var(f"_{len(assignments)}")
+            assignments.append((names[key].name, out, deps[key]))
+            return names[key]
+        return out
 
-    return assignments, [rewrite(e) for e in expressions]
+    return assignments, [rewrite(e, True) for e in expressions]
 
 
 # --- time-blocked evaluation of derivative chains ---
 
 # (time node, point) values per block in eval_over_time: 256 KiB of float64
 TABLE_BLOCK = 2 ** 15
-
-_T, _X = 1, 2   # what a subtree depends on: t, x/y, both (_T | _X) or neither (0)
-
-
-def _split(e, slots):
-    """(e', what e depends on), e' being e with its one-sided subtrees hoisted.
-
-    A subtree is one-sided when it depends on t alone or not on t at all.
-    Each maximal one that is not a bare Const or Var becomes a placeholder
-    variable; ``slots`` maps it to (placeholder, dependence), so equal
-    subtrees share one placeholder.
-    """
-    if isinstance(e, Var):
-        return e, _T if e.name == "t" else _X
-    parts = {name: _split(c, slots) for name, c in _children(e).items()}
-    uses = 0
-    for _, u in parts.values():
-        uses |= u
-    if uses != _T | _X:
-        return e, uses
-    return replace(e, **{name: _hoist(*part, slots) for name, part in parts.items()}), uses
-
-
-def _hoist(e, uses, slots):
-    """e itself when it mixes t with x/y or is a leaf, else its shared placeholder."""
-    if uses == _T | _X or isinstance(e, (Const, Var)):
-        return e
-    return slots.setdefault(e, (Var(f"_{len(slots)}"), uses))[0]
 
 
 def eval_over_time(expressions, points, times):
@@ -734,32 +720,39 @@ def eval_over_time(expressions, points, times):
     Yields ``(rows, i, values)``: ``values`` is a read-only (len(times[rows]), N)
     array whose rows equal ``eval_array`` of expression i at those times.
 
-    Subtrees free of t (the spatial cutoffs) are evaluated once. Subtrees
-    of t alone are evaluated node by node with a scalar t, as in a per-node
-    loop, so their values do not depend on how numpy's array functions
-    round. The rest is evaluated with t bound to a column of at most
-    max(1, TABLE_BLOCK // N) time nodes, so a block array holds at most
-    max(TABLE_BLOCK, N) values.
+    The expressions are planned by ``share_subtrees``. Its t-free subtrees
+    (the spatial cutoffs) are evaluated once. Its subtrees of t alone are
+    evaluated node by node with a scalar t, as in a per-node loop, so their
+    values do not depend on how numpy's array functions round. The rest is
+    evaluated with t bound to a column of at most max(1, TABLE_BLOCK // N)
+    time nodes, each shared subtree once per block, so a block array holds
+    at most max(TABLE_BLOCK, N) values.
     """
-    slots = {}
-    chain = [_hoist(*_split(e, slots), slots) for e in expressions]
+    assignments, chain = share_subtrees(expressions)
     points = np.atleast_2d(np.asarray(points, dtype=float))
     n = len(points)
     env = point_env(points, 0.0)
     times = np.asarray(times, dtype=float)
-    columns = {}
-    for sub, (slot, uses) in slots.items():
-        if uses & _T:
-            columns[slot.name] = np.array(
-                [float(eval_env(sub, {"t": t})) for t in times.tolist()]).reshape(-1, 1)
-        else:
-            env[slot.name] = eval_env(sub, env)
+    for name, e, uses in assignments:
+        if not uses & _T:
+            env[name] = eval_env(e, env)
+    t_only = [(name, e) for name, e, uses in assignments if uses == _T]
+    mixed = [(name, e) for name, e, uses in assignments if uses == _T | _X]
+    consts = {name: env[name] for name, _, uses in assignments if not uses}
+    columns = np.empty((len(times), len(t_only)))
+    for row, t in zip(columns, times.tolist()):
+        scalars = dict(consts, t=t)
+        for j, (name, e) in enumerate(t_only):
+            scalars[name] = eval_env(e, scalars)
+            row[j] = scalars[name]
     block = max(1, TABLE_BLOCK // n)
     for start in range(0, len(times), block):
         rows = slice(start, start + block)
         env["t"] = times[rows, None]
-        for name, column in columns.items():
-            env[name] = column[rows]
+        for j, (name, _) in enumerate(t_only):
+            env[name] = columns[rows, j:j + 1]
+        for name, e in mixed:
+            env[name] = eval_env(e, env)
         for i, e in enumerate(chain):
             yield rows, i, np.broadcast_to(eval_env(e, env), (len(env["t"]), n))
 

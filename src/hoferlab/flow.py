@@ -91,7 +91,7 @@ def _velocity(field, pts, t):
     """Velocity at ``pts``; ``field`` is ``expr.share_subtrees`` of the components."""
     assignments, components = field
     env = ex.point_env(pts, t)
-    for name, e in assignments:
+    for name, e, _ in assignments:
         env[name] = ex.eval_env(e, env)
     out = np.empty_like(pts)
     for j, e in enumerate(components):

@@ -10,9 +10,9 @@ Four variants are computed, each with a per-derivative-order breakdown:
                         into constant-form coefficients plus an exact
                         potential, with the l^1 size of the coefficients.
 
-Every number produced here is the length of the *given* path: a certified
-upper bound for the associated infimum-over-paths metric, never the metric
-itself. Reports carry that disclaimer.
+Every number produced here is a sampled length of the *given* path, never the
+infimum-over-paths metric, which the exact length bounds from above; sampling
+can read below the exact length (``two_resolution`` brackets the grid error).
 
 Time quadrature is composite 5-point Gauss-Legendre per piece. The coarse
 functional is sampled on a global uniform closed lattice, which makes it
@@ -88,7 +88,7 @@ def _size_table(expressions, pts, times, size):
     Every length functional is a reduction of this table. The values come
     from ``expr.eval_over_time`` in blocks of time nodes, so one block of at
     most ``expr.TABLE_BLOCK`` values (or one (N,) row, when N is larger) is
-    alive per evaluation, plus one (N,) array per t-free subtree of the chain.
+    alive per evaluation and per shared mixed subtree, plus one (N,) array per t-free subtree.
     """
     table = np.empty((len(times), len(expressions)))
     for rows, i, vals in ex.eval_over_time(expressions, pts, times):

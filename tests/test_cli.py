@@ -37,6 +37,8 @@ def test_constants_exit_zero(capsys):
     assert run_cli("constants", "--k", "3") == 0
     out = capsys.readouterr().out
     assert "quasi_triangle" in out
+    assert run_cli("constants", "--k", "30") == 2
+    assert "(at --k)" in capsys.readouterr().err
 
 
 def test_length_subcommand(tmp_path, capsys):
@@ -176,6 +178,13 @@ def test_displace_and_shift(capsys):
     assert run_cli("displace", "--c", "0.25") == 0
     json.loads(capsys.readouterr().out)
     assert run_cli("shift", "--v", "1.0", "--eps", "0.5") == 0
+    # out-of-range numbers are config errors naming the flag, not tracebacks
+    for argv, flag in ((["displace", "--c", "-1"], "--c"),
+                       (["shift", "--v", "-1", "--eps", "0.1"], "--v"),
+                       (["shift", "--v", "1", "--eps", "0"], "--eps")):
+        capsys.readouterr()
+        assert run_cli(*argv) == 2
+        assert f"(at {flag})" in capsys.readouterr().err
 
 
 def test_gm_subcommand(tmp_path, capsys):
@@ -184,6 +193,10 @@ def test_gm_subcommand(tmp_path, capsys):
                    "--out-dir", out_dir) == 0
     assert os.path.exists(os.path.join(out_dir, "decay.csv"))
     assert os.path.exists(os.path.join(out_dir, "decay.dat"))
+    for argv, flag in ((["--m", "0"], "--m"), (["--m", "2", "--p", "0"], "--p")):
+        capsys.readouterr()
+        assert run_cli("gm", *argv) == 2
+        assert f"(at {flag})" in capsys.readouterr().err
 
 
 def test_commutator_subcommand(tmp_path, capsys):

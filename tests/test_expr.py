@@ -1,6 +1,7 @@
 """Parser, printer, differentiation, and cutoff evaluation."""
 
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -271,6 +272,8 @@ def _same(a, b):
 @example(E.Mul(E.Call("sqrt", E.Var("t")), E.Mul(E.Const(2.0), E.Const(-0.5))))
 @example(E.Add(E.Mul(E.Var("t"), E.Var("x1")), E.Call("sqrt", E.Var("x1"))))
 @example(E.Div(E.Var("t"), E.Var("x1")))
+# one sin(t) object inside the t-only sin(t)^3 and, by identity, in the next entry
+@example(E.Mul(E.IntPow(E.Call("sin", E.Var("t")), 3), E.Var("x1")))
 @settings(max_examples=300, deadline=None)
 def test_eval_over_time_matches_per_node_eval(tree):
     # a derivative chain shares subtrees between its entries; leaves are rows too
@@ -301,9 +304,16 @@ def test_eval_over_time_hoists_the_cutoffs():
 def _shared_values(exprs, env):
     assignments, rewritten = E.share_subtrees(exprs)
     env = dict(env)
-    for name, e in assignments:
+    for name, e, _ in assignments:
         env[name] = E.eval_env(e, env)
     return [E.eval_env(e, env) for e in rewritten]
+
+
+def _unshared(e, trees):
+    """e with each placeholder replaced by the tree it names, without folding."""
+    if isinstance(e, E.Var):
+        return trees.get(e.name, e)
+    return replace(e, **{k: _unshared(c, trees) for k, c in E._children(e).items()})
 
 
 def _same_list(got, want):
@@ -325,13 +335,21 @@ def test_share_subtrees_matches_eval_env(trees):
     want = _outcome(lambda: [E.eval_env(e, env) for e in exprs])
     got = _outcome(lambda: _shared_values(exprs, env))
     assert _same_list(got, want)
+    # each dependence tag is what the placeholder's whole tree uses
+    assignments, rewritten = E.share_subtrees(exprs)
+    trees = {}
+    for name, e, uses in assignments:
+        trees[name] = _unshared(e, trees)
+        names = E.variables(trees[name])
+        assert uses == (E._T if "t" in names else 0) | (E._X if names - {"t"} else 0)
+    assert [_unshared(e, trees) for e in rewritten] == exprs
 
 
 def test_share_subtrees_evaluates_the_gaussian_factor_once():
     h = E.parse("0.9*exp(-((x1 - 0.3)^2 + (y1 + 0.2)^2)/1.28)*(1 + 0.5*sin(3*t))")
     field = [E.neg(E.diff(h, "y1")), E.diff(h, "x1")]
     assignments, rewritten = E.share_subtrees(field)
-    trees = [e for _, e in assignments] + rewritten
+    trees = [e for _, e, _ in assignments] + rewritten
 
     def calls(e, func):
         return (isinstance(e, E.Call) and e.func == func) + sum(
@@ -341,6 +359,6 @@ def test_share_subtrees_evaluates_the_gaussian_factor_once():
     assert sum(calls(e, "sin") for e in trees) == 1
     assert sum(calls(e, "exp") for e in field) == 2
     # each assignment names only earlier placeholders
-    for i, (_, e) in enumerate(assignments):
+    for i, (_, e, _) in enumerate(assignments):
         assert {v for v in E.variables(e) if v.startswith("_")} <= {
-            name for name, _ in assignments[:i]}
+            name for name, _, _ in assignments[:i]}

@@ -53,6 +53,23 @@ def test_piecewise_path_integration():
     assert np.abs(fm.final.points - cloud.points).max() < 1e-12
 
 
+def test_velocity_on_the_plan_matches_the_raw_field():
+    # a cutoff and a t-only factor in the first piece; in the second, dH/dx1
+    # is constant in x/y, so its component evaluates to a scalar
+    f = hp.concatenate(
+        apath("step(x1/0.8, 0.5, 1)*step(y1/0.8, 0.5, 1)*(1 + 0.5*sin(3*t))*x1^2"),
+        apath("sin(3*t)*x1 + step(y1/0.8, 0.5, 1)"))
+    pts = np.random.default_rng(3).uniform(-1.0, 1.0, (50, 2))
+    for piece in f.pieces:
+        field = F._gradient_field(piece.hamiltonian, 2)
+        plan = E.share_subtrees(field)
+        for t in np.linspace(piece.t_start, piece.t_end, 5):
+            env = E.point_env(pts, t)
+            want = np.stack([E.eval_array(c, env, len(pts)) for c in field], axis=1)
+            assert np.array_equal(F._velocity(plan, pts, t), want)
+    assert E.variables(field[1]) == {"t"}
+
+
 def test_c0_distance_examples():
     cloud = F.TracerCloud(np.array([[0.0, 0.0], [1.0, 1.0]]))
     a = F.integrate(apath("2*x1"), cloud, 16)
