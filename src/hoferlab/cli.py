@@ -186,9 +186,13 @@ def cmd_flow(args):
     return EXIT_OK
 
 
+def _int_list(text):
+    return [int(v) for v in text.split(",")]
+
+
 def cmd_gm(args):
-    m_values = [int(m) for m in args.m.split(",")]
-    orders = [int(i) for i in args.orders.split(",")] if args.orders else None
+    m_values = _from_spec(_int_list, args.m, "--m", "--m")
+    orders = _from_spec(_int_list, args.orders, "--orders", "--orders") if args.orders else None
     rep = _in_range(lambda: shell_decay_report(m_values, args.k, args.p, orders=orders,
                                                closed_mode=args.closed), "--{}".format)
     _emit(rep.to_json(), args.out)
@@ -275,7 +279,8 @@ def cmd_snowflake(args):
     if mode == "generic":
         res = sf.sharp(group)
     elif mode.startswith("dk:"):
-        res = sf.sharp_fixed_exponent(group, int(mode.split(":", 1)[1]))
+        k = _from_spec(int, mode[len("dk:"):], "--mode", "--mode")
+        res = _in_range(lambda: sf.sharp_fixed_exponent(group, k), {"k": "--mode"}.get)
     else:
         raise ConfigInvalid(f"unknown mode {mode!r} (use generic or dk:<k>)", "mode")
     _emit({"C": res.C, "alpha": res.alpha,

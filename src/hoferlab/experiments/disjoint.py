@@ -14,7 +14,6 @@ max/min over the family that drives the bound.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 from .. import lengths as ln
@@ -38,15 +37,6 @@ class DisjointBoundReport:
                 "member_totals": list(self.member_totals),
                 "product_total": self.product_total, "bound": self.bound,
                 "ratio": self.ratio, "ok": self.ok()}
-
-    def to_csv(self):
-        out = io.StringIO()
-        out.write("quantity,value\n")
-        out.write(f"product_total,{self.product_total!r}\n")
-        for j, v in enumerate(self.member_totals):
-            out.write(f"member_{j},{v!r}\n")
-        out.write(f"bound,{self.bound!r}\nratio,{self.ratio!r}\n")
-        return out.getvalue()
 
 
 def disjoint_bound_check(paths, boxes, k: int, grid=None,

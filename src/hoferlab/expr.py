@@ -430,17 +430,13 @@ def diff(e, name):
         return Const(0.0)
     if isinstance(e, Var):
         return Const(1.0 if e.name == name else 0.0)
-    if isinstance(e, Add):
-        return add(diff(e.left, name), diff(e.right, name))
-    if isinstance(e, Sub):
-        return sub(diff(e.left, name), diff(e.right, name))
+    if isinstance(e, (Add, Sub, Neg)):
+        return _rebuild(e, lambda c: diff(c, name))
     if isinstance(e, Mul):
         return add(mul(diff(e.left, name), e.right), mul(e.left, diff(e.right, name)))
     if isinstance(e, Div):
         num = sub(mul(diff(e.left, name), e.right), mul(e.left, diff(e.right, name)))
         return div(num, intpow(e.right, 2))
-    if isinstance(e, Neg):
-        return neg(diff(e.arg, name))
     if isinstance(e, IntPow):
         inner = diff(e.base, name)
         return mul(mul(Const(float(e.exponent)), intpow(e.base, e.exponent - 1)), inner)
@@ -551,6 +547,19 @@ def step_values(s, inner, outer, deriv=0):
 def _children(e):
     """Sub-expressions of a node by field name; empty for Const and Var."""
     return {name: v for name, v in vars(e).items() if isinstance(v, Expression)}
+
+
+def _rebuild(e, fn):
+    """``e`` with ``fn`` applied to each child, rebuilt through its folding constructor.
+
+    Call and Step nodes, which fold nothing, are rebuilt by their class.
+    """
+    children = _children(e)
+    if not children:
+        return e
+    fields = {**vars(e), **{k: fn(c) for k, c in children.items()}}
+    fold = {Add: add, Sub: sub, Mul: mul, Div: div, Neg: neg, IntPow: intpow}
+    return fold.get(type(e), type(e))(*fields.values())
 
 
 def variables(e):
@@ -761,27 +770,9 @@ def eval_over_time(expressions, points, times):
 
 def substitute(e, mapping):
     """Replace variables by expressions; ``mapping`` maps names to Expressions."""
-    if isinstance(e, Const):
-        return e
     if isinstance(e, Var):
         return mapping.get(e.name, e)
-    if isinstance(e, Add):
-        return add(substitute(e.left, mapping), substitute(e.right, mapping))
-    if isinstance(e, Sub):
-        return sub(substitute(e.left, mapping), substitute(e.right, mapping))
-    if isinstance(e, Mul):
-        return mul(substitute(e.left, mapping), substitute(e.right, mapping))
-    if isinstance(e, Div):
-        return div(substitute(e.left, mapping), substitute(e.right, mapping))
-    if isinstance(e, Neg):
-        return neg(substitute(e.arg, mapping))
-    if isinstance(e, IntPow):
-        return intpow(substitute(e.base, mapping), e.exponent)
-    if isinstance(e, Call):
-        return Call(e.func, substitute(e.arg, mapping))
-    if isinstance(e, Step):
-        return Step(substitute(e.arg, mapping), e.inner, e.outer, e.deriv)
-    raise TypeError(f"unknown node {e!r}")
+    return _rebuild(e, lambda c: substitute(c, mapping))
 
 
 def substitute_time(e, t_expr):

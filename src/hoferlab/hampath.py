@@ -1,12 +1,13 @@
 """Piecewise-smooth Hamiltonian paths and their algebra.
 
 A path is an ordered list of pieces tiling [0, 1] exactly, each carrying a
-Hamiltonian expression. The algebra mirrors how paths of diffeomorphisms
-compose: time reversal (negate and flip time), two-speed concatenation
-(each half replayed at double speed with doubled Hamiltonian),
-reparametrization by a monotone time change, conjugation by an affine
-symplectic map (substituted into the expression), and pointwise sums of
-disjointly supported families.
+Hamiltonian expression (``PiecewisePath`` holds the tiling rule, which the
+flat-torus paths of ``lengths`` share). The algebra mirrors how paths of
+diffeomorphisms compose: time reversal (negate and flip time), two-speed
+concatenation (each half replayed at double speed with doubled
+Hamiltonian), reparametrization by a monotone time change (for both path
+types), conjugation by an affine symplectic map (substituted into the
+expression), and pointwise sums of disjointly supported families.
 
 Continuity of the underlying flow at piece boundaries is deliberately not
 part of the data model; the flow module checks it where experiments care.
@@ -34,9 +35,15 @@ class Piece:
         if not self.t_start < self.t_end:
             raise ValueError(f"piece needs t_start < t_end, got [{self.t_start}, {self.t_end}]")
 
+    def map(self, fn):
+        """The piece with ``fn`` applied to its Hamiltonian."""
+        return replace(self, hamiltonian=fn(self.hamiltonian))
+
 
 @dataclass(frozen=True)
-class HamiltonianPath:
+class PiecewisePath:
+    """Pieces tiling [0, 1] without gaps; each piece type has ``map``."""
+
     pieces: tuple
     dimension: int
     domain: Grid
@@ -49,9 +56,6 @@ class HamiltonianPath:
         for a, b in zip(self.pieces, self.pieces[1:]):
             if a.t_end != b.t_start:
                 raise ValueError(f"gap/overlap at t={a.t_end} vs {b.t_start}")
-        for p in self.pieces:
-            if ex.spatial_dimension(p.hamiltonian) > self.dimension:
-                raise ValueError("piece references coordinates beyond the declared dimension")
 
     @property
     def breakpoints(self):
@@ -62,6 +66,15 @@ class HamiltonianPath:
             if p.t_start <= t <= p.t_end:
                 return p
         raise ValueError(f"t={t} outside [0,1]")
+
+
+@dataclass(frozen=True)
+class HamiltonianPath(PiecewisePath):
+    def __post_init__(self):
+        super().__post_init__()
+        for p in self.pieces:
+            if ex.spatial_dimension(p.hamiltonian) > self.dimension:
+                raise ValueError("piece references coordinates beyond the declared dimension")
 
     def hamiltonian_at(self, t):
         return self.piece_at(t).hamiltonian
@@ -206,12 +219,13 @@ def _invert_monotone(s_piece, target, lo, hi):
     return 0.5 * (a + b)
 
 
-def reparametrize(f: HamiltonianPath, s) -> HamiltonianPath:
+def reparametrize(f: PiecewisePath, s) -> PiecewisePath:
     """Replay f along a monotone time change s: [0,1] -> [0,1].
 
     ``s`` is an Expression in t, or a list of Pieces for a piecewise-smooth
-    change; derivatives are taken symbolically. New pieces carry
-    s'(t) * H(x, s(t)); the identity change returns f itself.
+    change; derivatives are taken symbolically. Every expression e(x, t) of
+    a new piece is s'(t) * e(x, s(t)), so any path type whose pieces have
+    ``map`` works; the identity change returns f itself.
     """
     if isinstance(s, ex.Expression) and s == ex.Var("t"):
         return f
@@ -248,9 +262,10 @@ def reparametrize(f: HamiltonianPath, s) -> HamiltonianPath:
             if b - a <= 1e-15:
                 continue
             mid_s = float(ex.eval_env(sp.hamiltonian, {"t": 0.5 * (a + b)}))
-            base = f.piece_at(min(max(mid_s, 0.0), 1.0)).hamiltonian
-            h = ex.mul(dp.hamiltonian, ex.substitute_time(base, sp.hamiltonian))
-            out.append(Piece(a, b, h))
+            base = f.piece_at(min(max(mid_s, 0.0), 1.0))
+            out.append(replace(base.map(
+                lambda e: ex.mul(dp.hamiltonian, ex.substitute_time(e, sp.hamiltonian))),
+                t_start=a, t_end=b))
     out[0] = replace(out[0], t_start=0.0)
     out[-1] = replace(out[-1], t_end=1.0)
     fixed = [out[0]]

@@ -30,7 +30,7 @@ import numpy as np
 from . import expr as ex
 from .errors import GeometryError, ParameterOutOfRange
 from .grid import Grid
-from .hampath import HamiltonianPath
+from .hampath import HamiltonianPath, PiecewisePath
 
 UPPER_BOUND_NOTE = ("path length only: an upper bound for the infimum-over-paths "
                     "(quasi)metric, which is not computed")
@@ -134,11 +134,16 @@ def length_kp(f: HamiltonianPath, k: int, p: float, grid: Grid = None,
     return _integral_length(f, k, grid, time_samples, lp, "kp", p=p)
 
 
-def _integral_length(f, k, grid, time_samples, size, kind, **quad_extra):
+def _check_sampling(k, time_samples):
+    """The precondition on ``k`` and ``time_samples`` that every length functional shares."""
     if k < 0:
         raise ParameterOutOfRange("k", "k must be >= 0")
     if time_samples < 8:
-        raise ParameterOutOfRange("time_samples", "need at least 8 time samples per piece")
+        raise ParameterOutOfRange("time_samples", "need at least 8 time samples")
+
+
+def _integral_length(f, k, grid, time_samples, size, kind, **quad_extra):
+    _check_sampling(k, time_samples)
     grid = grid or f.domain
     pts = grid.points()
     per_piece = []
@@ -175,10 +180,7 @@ def coarse_length_k(f: HamiltonianPath, k: int, grid: Grid = None,
     evaluated from both adjacent pieces, so refining a division at a lattice
     point cannot change the result.
     """
-    if k < 0:
-        raise ParameterOutOfRange("k", "k must be >= 0")
-    if time_samples < 8:
-        raise ParameterOutOfRange("time_samples", "need at least 8 time samples")
+    _check_sampling(k, time_samples)
     grid = grid or f.domain
     pts = grid.points()
     lattice = np.linspace(0.0, 1.0, time_samples)
@@ -210,21 +212,18 @@ class TorusPiece:
             if ex.variables(lam) - {"t"}:
                 raise ValueError("harmonic coefficients must depend on t only")
 
+    def map(self, fn):
+        """The piece with ``fn`` applied to every coefficient and the potential."""
+        return replace(self, harmonic=tuple(fn(lam) for lam in self.harmonic),
+                       exact=fn(self.exact))
+
 
 @dataclass(frozen=True)
-class TorusSymplecticPath:
-    pieces: tuple
-    dimension: int
-    domain: Grid
-
+class TorusSymplecticPath(PiecewisePath):
     def __post_init__(self):
         if self.domain.geometry != "torus":
             raise GeometryError("symplectic paths with a harmonic part live on a torus")
-        if self.pieces[0].t_start != 0.0 or self.pieces[-1].t_end != 1.0:
-            raise ValueError("pieces must tile [0, 1]")
-        for a, b in zip(self.pieces, self.pieces[1:]):
-            if a.t_end != b.t_start:
-                raise ValueError("pieces must tile [0, 1] without gaps")
+        super().__post_init__()
         for p in self.pieces:
             if len(p.harmonic) != self.dimension:
                 raise ValueError("need one coefficient per constant 1-form, i.e. 2n")
@@ -253,8 +252,7 @@ def hofer_like_length_k(phi: TorusSymplecticPath, k: int, grid: Grid = None,
                         time_samples: int = 10) -> LengthReport:
     """Sum_{i<=k} integral of (l^1 of coefficient derivatives + osc of the
     potential's derivative)."""
-    if k < 0:
-        raise ParameterOutOfRange("k", "k must be >= 0")
+    _check_sampling(k, time_samples)
     grid = grid or phi.domain
     pts = grid.points()
     origin = np.zeros((1, phi.dimension))
@@ -285,15 +283,3 @@ def flux_harmonic(phi: TorusSymplecticPath) -> np.ndarray:
             out[j] += float(np.dot(weights, vals[j]))
     return out
 
-
-def reparametrize_torus(phi: TorusSymplecticPath, s: ex.Expression) -> TorusSymplecticPath:
-    """Replay a torus path along a smooth monotone time change fixing 0 and 1."""
-    sp = ex.diff(s, "t")
-    if len(phi.pieces) > 1:
-        raise ValueError("torus reparametrization supports single-piece paths")
-    out = []
-    for piece in phi.pieces:
-        harm = tuple(ex.mul(sp, ex.substitute_time(lam, s)) for lam in piece.harmonic)
-        exact = ex.mul(sp, ex.substitute_time(piece.exact, s))
-        out.append(TorusPiece(piece.t_start, piece.t_end, harm, exact))
-    return replace(phi, pieces=tuple(out))

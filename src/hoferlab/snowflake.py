@@ -27,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceeded, InputNotQuasiSubadditive, QuasiTriangleViolated
+from .errors import (BudgetExceeded, InputNotQuasiSubadditive, ParameterOutOfRange,
+                     QuasiTriangleViolated)
 
 ENUMERATION_BUDGET = 10 ** 7
 
@@ -234,6 +235,8 @@ def sharp_fixed_exponent(g: WeightedGroup, k: int) -> SharpResult:
     Valid for weights obeying the 2^k-relaxed triangle inequality; the
     resulting transform then satisfies 4^-(k+1) * psi <= psi_sharp <= psi.
     """
+    if k < 0:
+        raise ParameterOutOfRange("k", "k must be >= 0")
     C = quasi_constant(g)
     if not (np.isfinite(C) and C <= 2 ** k * (1 + 1e-12)):
         raise QuasiTriangleViolated(
@@ -263,6 +266,8 @@ def _table_from_elements(elements, compose):
 
 
 def cyclic_group(n):
+    if n < 1:
+        raise ValueError(f"a cyclic group needs order n >= 1, got {n}")
     table = (np.arange(n)[:, None] + np.arange(n)[None, :]) % n
     inv = (-np.arange(n)) % n
     return WeightedGroup(n, table, 0, inv, np.zeros(n))

@@ -254,7 +254,7 @@ def check_hofer_like(seed, count=20):
     for _ in range(count):
         phi = corpus.random_torus_path(rng, smooth=True)
         s = corpus.random_time_change(rng)
-        phi2 = ln.reparametrize_torus(phi, s)
+        phi2 = hp.reparametrize(phi, s)
         a = ln.hofer_like_length_k(phi, 0, time_samples=30).total
         b = ln.hofer_like_length_k(phi2, 0, time_samples=30).total
         worst_reparam = max(worst_reparam, abs(a - b) / max(a, 1e-300))
@@ -350,7 +350,6 @@ def check_shell_decay(seed=None):
 def check_half_space_shift(seed=None):
     cert = shift_certificate(1.5, 0.25)
     # conjugating a bump supported in {x1 > 0} by the affine restriction
-    rng = np.random.default_rng(11)
     grid = gr.Grid.box([-6.0, -6.0], [6.0, 6.0], (48, 48))
     h = ex.parse("step((x1 - 2)/0.8, 0.5, 1)*step(y1/0.8, 0.5, 1)*(1 + t*t)")
     f = hp.HamiltonianPath((hp.Piece(0.0, 1.0, h),), 2, grid)
@@ -360,7 +359,6 @@ def check_half_space_shift(seed=None):
         a = ln.length_k(f, k, grid, time_samples=10).total
         b = ln.length_k(g2, k, grid, time_samples=10).total
         dev = max(dev, abs(a - b) / max(a, 1e-300))
-    del rng
     passed = cert.ok() and dev <= 1e-6
     return {"name": "half_space_shift", "passed": bool(passed),
             "measured": {"fixed_error": cert.fixed_error,

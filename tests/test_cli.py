@@ -99,6 +99,9 @@ def test_length_hl_kind(tmp_path, capsys):
     assert rep["per_order"][0] >= 1.0
     # split paths reject the plain kinds
     assert run_cli("length", "--path", p, "--k", "1", "--kind", "k") == 2
+    capsys.readouterr()
+    assert run_cli("length", "--path", p, "--kind", "hl", "--time-samples", "3") == 2
+    assert "(at --time-samples)" in capsys.readouterr().err
 
 
 def test_length_hamiltonian_string(tmp_path, capsys):
@@ -168,6 +171,12 @@ def test_snowflake_dk_mode(tmp_path, capsys):
     assert from_file == json.loads(capsys.readouterr().out)
     assert run_cli("snowflake", "--group", str(f), "--mode", "bogus") == 2
     assert run_cli("snowflake", "--group", "NotAGroup") == 2
+    for argv, flag in ((["--group", "Z0"], "group"),
+                       (["--group", "Z4", "--mode", "dk:x"], "--mode"),
+                       (["--group", "Z4", "--mode", "dk:-1"], "--mode")):
+        capsys.readouterr()
+        assert run_cli("snowflake", *argv) == 2
+        assert f"(at {flag})" in capsys.readouterr().err
     capsys.readouterr()
     f.write_text(json.dumps({"order": 4}))
     assert run_cli("snowflake", "--group", str(f)) == 2
@@ -193,7 +202,8 @@ def test_gm_subcommand(tmp_path, capsys):
                    "--out-dir", out_dir) == 0
     assert os.path.exists(os.path.join(out_dir, "decay.csv"))
     assert os.path.exists(os.path.join(out_dir, "decay.dat"))
-    for argv, flag in ((["--m", "0"], "--m"), (["--m", "2", "--p", "0"], "--p")):
+    for argv, flag in ((["--m", "0"], "--m"), (["--m", "2", "--p", "0"], "--p"),
+                       (["--m", "abc"], "--m"), (["--m", "2", "--orders", "x"], "--orders")):
         capsys.readouterr()
         assert run_cli("gm", *argv) == 2
         assert f"(at {flag})" in capsys.readouterr().err

@@ -5,10 +5,12 @@ import pytest
 
 from hoferlab import expr as E
 from hoferlab import hampath as hp
+from hoferlab import lengths as L
 from hoferlab.errors import NotMonotone, SupportOverlap
 from hoferlab.grid import Grid
 
 GRID = Grid.box([-2.0, -2.0], [2.0, 2.0], (16, 16))
+TORUS = Grid.torus([1.0, 1.0], (8, 8))
 
 
 def path_of(*specs):
@@ -27,6 +29,8 @@ def test_tiling_validation():
         path_of((0.0, 0.5, "x1"), (0.6, 1.0, "x1"))
     with pytest.raises(ValueError):
         hp.Piece(0.5, 0.5, E.parse("x1"))
+    with pytest.raises(ValueError):
+        L.TorusSymplecticPath((), 2, TORUS)
 
 
 def test_reverse_autonomous():
@@ -121,6 +125,12 @@ def test_reparametrize_rejects_nonmonotone():
         hp.reparametrize(f, E.parse("t*t*(3 - 2*t) - 0.5*sin(6.283185307179586*t)"))
     with pytest.raises(NotMonotone):
         hp.reparametrize(f, E.parse("t*0.5"))
+    # torus paths go through the same checks
+    phi = L.TorusSymplecticPath((L.TorusPiece(0.0, 1.0, (E.parse("1"), E.parse("0")),
+                                              E.parse("sin(6.283185307179586*x1)")),), 2, TORUS)
+    for s in ("t*0.5", "t + 0.2", "t + 0.3*sin(6.283185307179586*t)"):
+        with pytest.raises(NotMonotone):
+            hp.reparametrize(phi, E.parse(s))
 
 
 def test_conjugate_identity():

@@ -265,10 +265,35 @@ def test_hl_reparametrization_invariance():
     for _ in range(5):
         phi = corpus.random_torus_path(rng, smooth=True)
         s = corpus.random_time_change(rng)
-        psi = L.reparametrize_torus(phi, s)
+        psi = hp.reparametrize(phi, s)
         a = L.hofer_like_length_k(phi, 0, time_samples=30).total
         b = L.hofer_like_length_k(psi, 0, time_samples=30).total
         assert b == pytest.approx(a, rel=1e-8)
+    # a two-piece path, split by t*t at the preimage of its breakpoint
+    pieces = (L.TorusPiece(0.0, 0.5, (E.parse("1 + t"), E.parse("0")),
+                           E.parse("t*sin(6.283185307179586*x1)")),
+              L.TorusPiece(0.5, 1.0, (E.parse("2"), E.parse("-t")),
+                           E.parse("cos(6.283185307179586*y1)")))
+    phi = L.TorusSymplecticPath(pieces, 2, corpus.TORUS_GRID)
+    psi = hp.reparametrize(phi, E.parse("t*t"))
+    assert psi.breakpoints == pytest.approx([0.0, np.sqrt(0.5), 1.0])
+    a = L.hofer_like_length_k(phi, 0, time_samples=30).total
+    b = L.hofer_like_length_k(psi, 0, time_samples=30).total
+    assert b == pytest.approx(a, rel=1e-12)
+
+
+def test_torus_reparametrize_substitutes_every_expression():
+    # each expression e of a piece becomes s'(t) * e(x, s(t))
+    rng = np.random.default_rng(8)
+    for _ in range(3):
+        phi = corpus.random_torus_path(rng, smooth=True)
+        s = corpus.random_time_change(rng)
+        ds = E.diff(s, "t")
+        (piece,) = phi.pieces
+        want = L.TorusPiece(0.0, 1.0, tuple(E.mul(ds, E.substitute_time(lam, s))
+                                            for lam in piece.harmonic),
+                            E.mul(ds, E.substitute_time(piece.exact, s)))
+        assert hp.reparametrize(phi, s).pieces == (want,)
 
 
 def test_flux_examples():
