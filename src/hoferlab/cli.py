@@ -160,6 +160,8 @@ def _length_report(args, path, grid):
     if args.kind == "k":
         return ln.length_k(path, args.k, grid, args.time_samples)
     if args.kind == "coarse":
+        # the user's value must meet the shared precondition before the floor applies
+        ln.check_sampling(args.k, args.time_samples)
         return ln.coarse_length_k(path, args.k, grid, max(args.time_samples, 65))
     if args.kind == "kp":
         return ln.length_kp(path, args.k, args.p, grid, args.time_samples)

@@ -42,7 +42,9 @@ class Piece:
 
 @dataclass(frozen=True)
 class PiecewisePath:
-    """Pieces tiling [0, 1] without gaps; each piece type has ``map``."""
+    """Pieces tiling [0, 1] without gaps, each naming only coordinates within
+    ``dimension``; each piece type has ``map``, which applies a function to
+    every expression of the piece."""
 
     pieces: tuple
     dimension: int
@@ -56,6 +58,13 @@ class PiecewisePath:
         for a, b in zip(self.pieces, self.pieces[1:]):
             if a.t_end != b.t_start:
                 raise ValueError(f"gap/overlap at t={a.t_end} vs {b.t_start}")
+        for p in self.pieces:
+            p.map(self._check_coordinates)
+
+    def _check_coordinates(self, e):
+        if ex.spatial_dimension(e) > self.dimension:
+            raise ValueError("piece references coordinates beyond the declared dimension")
+        return e
 
     @property
     def breakpoints(self):
@@ -70,12 +79,6 @@ class PiecewisePath:
 
 @dataclass(frozen=True)
 class HamiltonianPath(PiecewisePath):
-    def __post_init__(self):
-        super().__post_init__()
-        for p in self.pieces:
-            if ex.spatial_dimension(p.hamiltonian) > self.dimension:
-                raise ValueError("piece references coordinates beyond the declared dimension")
-
     def hamiltonian_at(self, t):
         return self.piece_at(t).hamiltonian
 

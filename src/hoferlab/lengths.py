@@ -134,7 +134,7 @@ def length_kp(f: HamiltonianPath, k: int, p: float, grid: Grid = None,
     return _integral_length(f, k, grid, time_samples, lp, "kp", p=p)
 
 
-def _check_sampling(k, time_samples):
+def check_sampling(k, time_samples):
     """The precondition on ``k`` and ``time_samples`` that every length functional shares."""
     if k < 0:
         raise ParameterOutOfRange("k", "k must be >= 0")
@@ -143,7 +143,7 @@ def _check_sampling(k, time_samples):
 
 
 def _integral_length(f, k, grid, time_samples, size, kind, **quad_extra):
-    _check_sampling(k, time_samples)
+    check_sampling(k, time_samples)
     grid = grid or f.domain
     pts = grid.points()
     per_piece = []
@@ -180,7 +180,7 @@ def coarse_length_k(f: HamiltonianPath, k: int, grid: Grid = None,
     evaluated from both adjacent pieces, so refining a division at a lattice
     point cannot change the result.
     """
-    _check_sampling(k, time_samples)
+    check_sampling(k, time_samples)
     grid = grid or f.domain
     pts = grid.points()
     lattice = np.linspace(0.0, 1.0, time_samples)
@@ -252,7 +252,7 @@ def hofer_like_length_k(phi: TorusSymplecticPath, k: int, grid: Grid = None,
                         time_samples: int = 10) -> LengthReport:
     """Sum_{i<=k} integral of (l^1 of coefficient derivatives + osc of the
     potential's derivative)."""
-    _check_sampling(k, time_samples)
+    check_sampling(k, time_samples)
     grid = grid or phi.domain
     pts = grid.points()
     origin = np.zeros((1, phi.dimension))

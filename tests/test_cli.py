@@ -71,17 +71,17 @@ def test_length_kp_requires_p(tmp_path, capsys):
     # out-of-range numbers are config errors naming the flag, not tracebacks
     for extra, flag in ((["--kind", "kp", "--p", "0"], "--p"), (["--k", "-1"], "--k"),
                         (["--kind", "coarse", "--k", "-1"], "--k"),
-                        (["--time-samples", "3"], "--time-samples")):
+                        (["--time-samples", "3"], "--time-samples"),
+                        (["--kind", "coarse", "--time-samples", "3"], "--time-samples")):
         capsys.readouterr()
         assert run_cli("length", "--path", p, *extra) == 2
         assert f"(at {flag})" in capsys.readouterr().err
 
 
-def torus_path_json(tmp_path):
+def torus_path_json(tmp_path, exact="sin(6.283185307179586*x1)"):
     spec = {
         "dimension": 2,
-        "pieces": [{"t0": 0.0, "t1": 1.0, "harmonic": ["1", "0"],
-                    "exact": "sin(6.283185307179586*x1)"}],
+        "pieces": [{"t0": 0.0, "t1": 1.0, "harmonic": ["1", "0"], "exact": exact}],
         "domain": {"dim": 2, "geometry": "torus", "periods": [1.0, 1.0],
                    "resolution": [16, 16]},
     }
@@ -102,6 +102,10 @@ def test_length_hl_kind(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli("length", "--path", p, "--kind", "hl", "--time-samples", "3") == 2
     assert "(at --time-samples)" in capsys.readouterr().err
+    # a dimension-2 path naming x2 is a malformed file, not a failed check
+    p = torus_path_json(tmp_path, exact="sin(6.283185307179586*x2)")
+    assert run_cli("length", "--path", p, "--kind", "hl") == 2
+    assert "beyond the declared dimension" in capsys.readouterr().err
 
 
 def test_length_hamiltonian_string(tmp_path, capsys):

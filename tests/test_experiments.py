@@ -18,7 +18,8 @@ from hoferlab.experiments import (commutator_bound_report, commutator_path,
                                   shell_decay_report, shell_lp_norm,
                                   shift_certificate, square_displacement,
                                   conjugate_by_shift)
-from hoferlab.experiments.shell_family import ShellFamilySpec
+from hoferlab.experiments import shell_family
+from hoferlab.experiments.shell_family import MIRROR_OFFSET, ShellFamilySpec
 from hoferlab.grid import Grid
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -63,14 +64,54 @@ def test_shell_support_is_exactly_the_shell():
 def test_shell_norm_time_invariant():
     spec = ShellFamilySpec(4)
     d1 = E.diff(spec.hamiltonian(), "t")
-    vals = [shell_lp_norm(spec, d1, 0.5, t) for t in (0.1, 0.5, 0.9)]
+    vals = [shell_lp_norm(spec, [d1], 0.5, t)[0] for t in (0.1, 0.5, 0.9)]
     assert max(vals) - min(vals) < 1e-9 * max(vals)
+
+
+def unblocked_shell_lp_norm(spec, derivative, p, t, radial_panels=16, theta_samples=256):
+    """One expression on the whole polar grid at once, as shell_lp_norm was written."""
+    rho, w_rho = ln.gauss_legendre_panels(*spec.shell_bounds, radial_panels)
+    theta = np.linspace(0.0, 2.0 * np.pi, theta_samples, endpoint=False)
+    w_theta = 2.0 * np.pi / theta_samples
+    centers_x = [0.0] + ([MIRROR_OFFSET] if spec.closed_mode else [])
+    total = 0.0
+    for cx in centers_x:
+        R, TH = np.meshgrid(rho, theta, indexing="ij")
+        X = cx + R * np.cos(TH)
+        Y = 2.0 * t + R * np.sin(TH)
+        env = {"x1": X.ravel(), "y1": Y.ravel(), "t": float(t)}
+        vals = E.eval_array(derivative, env, X.size)
+        integrand = (np.abs(vals) ** p).reshape(R.shape) * R
+        total += float(np.einsum("r,rt->", w_rho, integrand)) * w_theta
+    return total ** (1.0 / p)
+
+
+@pytest.mark.parametrize("closed", [False, True])
+@pytest.mark.parametrize("theta_samples, block", [(256, None), (128, None), (96, None),
+                                                  (128, 100)])
+def test_shell_norm_blocks_match_unblocked(closed, theta_samples, block, monkeypatch):
+    # 80 radial rows: 128 and 96 samples give 32- and 42-row blocks, the last
+    # one partial; a 100-point block is shorter than a row, so one row each
+    if block is not None:
+        monkeypatch.setattr(shell_family, "SHELL_BLOCK", block)
+    spec = ShellFamilySpec(8, closed_mode=closed)
+    x1, t = E.Var("x1"), E.Var("t")
+    exprs = E.time_derivatives(spec.hamiltonian(), 2) + [
+        (t + 0.3) ** 3,                                       # t alone: a scalar
+        E.const(1.5),
+        E.call("sin", x1) * E.call("exp", -(E.Var("y1") - 1.0) ** 2)]
+    for time in (0.25, 0.6):
+        for p in (0.5, 1.0 / 3.0, 2.0):
+            got = shell_lp_norm(spec, exprs, p, time, theta_samples=theta_samples)
+            want = [unblocked_shell_lp_norm(spec, e, p, time, theta_samples=theta_samples)
+                    for e in exprs]
+            assert got == want
 
 
 def test_shell_unresolved_guard():
     spec = ShellFamilySpec(16)
     with pytest.raises(ShellUnresolved):
-        shell_lp_norm(spec, spec.hamiltonian(), 0.5, 0.5, radial_panels=4)
+        shell_lp_norm(spec, [spec.hamiltonian()], 0.5, 0.5, radial_panels=4)
 
 
 def test_shell_decay_quick_slopes():

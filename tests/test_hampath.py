@@ -33,6 +33,16 @@ def test_tiling_validation():
         L.TorusSymplecticPath((), 2, TORUS)
 
 
+def test_pieces_name_only_coordinates_within_dimension():
+    with pytest.raises(ValueError, match="beyond the declared dimension"):
+        path_of((0.0, 1.0, "x1*y2"))
+    ok = L.TorusPiece(0.0, 1.0, (E.parse("1"), E.parse("t")), E.parse("sin(6.283185307179586*x1)"))
+    assert L.TorusSymplecticPath((ok,), 2, TORUS).pieces == (ok,)
+    bad = L.TorusPiece(0.0, 1.0, ok.harmonic, E.parse("sin(6.283185307179586*x2)"))
+    with pytest.raises(ValueError, match="beyond the declared dimension"):
+        L.TorusSymplecticPath((bad,), 2, TORUS)
+
+
 def test_reverse_autonomous():
     f = path_of((0.0, 1.0, "x1"))
     r = hp.reverse(f)
