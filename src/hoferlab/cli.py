@@ -27,6 +27,7 @@ import sys
 
 import numpy as np
 
+from . import expr as ex
 from . import flow as fl
 from . import lengths as ln
 from . import snowflake as sf
@@ -34,7 +35,7 @@ from .errors import ConfigInvalid, HoferLabError, ParameterOutOfRange
 from .experiments import (commutator_bound_report, constants, disjoint_bound_check,
                           shell_decay_report, shift_certificate, square_displacement)
 from .grid import Grid, check_support_margin, sample
-from .hampath import AffineSymplectic, HamiltonianPath, box_corners
+from .hampath import AffineSymplectic, HamiltonianPath, autonomous_path, box_corners
 from .verify import run_suite, summary_bytes
 
 EXIT_OK = 0
@@ -101,16 +102,16 @@ def _path_from_json(spec):
     return HamiltonianPath.from_json(spec)
 
 
-def _load_path(path_file):
-    return _from_spec(_path_from_json, _load_json(path_file, "path"), "path spec", "path")
+def _load_path(path_file, parse=_path_from_json):
+    return _from_spec(parse, _load_json(path_file, "path"), "path spec", "path")
 
 
 def _load_grid(grid_file):
     return _from_spec(Grid.from_json, _load_json(grid_file, "grid"), "grid spec", "grid")
 
 
-def _resolve_path_argument(args):
-    """A path JSON file, or a bare Hamiltonian DSL string plus a grid."""
+def _resolve_path_argument(args, parse=_path_from_json):
+    """A path JSON file read by ``parse``, or a bare Hamiltonian DSL string plus a grid."""
     if getattr(args, "hamiltonian", None):
         if args.path:
             raise ConfigInvalid("give either --path or --hamiltonian, not both",
@@ -118,15 +119,11 @@ def _resolve_path_argument(args):
         if not args.grid:
             raise ConfigInvalid("--hamiltonian needs --grid for the domain", "grid")
         grid = _load_grid(args.grid)
-        try:
-            from . import expr as ex
-            from .hampath import autonomous_path
-            return autonomous_path(ex.parse(args.hamiltonian), grid.dimension, grid)
-        except HoferLabError as err:
-            raise ConfigInvalid(f"bad hamiltonian: {err}", "hamiltonian") from err
+        return _from_spec(lambda src: autonomous_path(ex.parse(src), grid.dimension, grid),
+                          args.hamiltonian, "hamiltonian", "hamiltonian")
     if not args.path:
         raise ConfigInvalid("one of --path or --hamiltonian is required", "path")
-    return _load_path(args.path)
+    return _load_path(args.path, parse)
 
 
 def cmd_length(args):
@@ -169,7 +166,7 @@ def _length_report(args, path, grid):
 
 
 def cmd_flow(args):
-    path = _resolve_path_argument(args)
+    path = _resolve_path_argument(args, HamiltonianPath.from_json)
     try:
         with open(args.cloud, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -220,7 +217,7 @@ def cmd_shift(args):
 
 
 def cmd_commutator(args):
-    path = _load_path(args.path)
+    path = _load_path(args.path, HamiltonianPath.from_json)
     spec = _load_json(args.theta, "theta")
     theta = _from_spec(lambda s: AffineSymplectic(np.array(s["linear"], dtype=float),
                                                   np.array(s["shift"], dtype=float)),
@@ -264,10 +261,7 @@ def cmd_snowflake(args):
         group = _from_spec(sf.group_from_file, args.group, f"group file {args.group}",
                            "group")
     else:
-        try:
-            group = sf.builtin_group(args.group)
-        except ValueError as err:
-            raise ConfigInvalid(str(err), "group") from err
+        group = _from_spec(sf.builtin_group, args.group, "group", "group")
     if args.weights:
         w = _load_json(args.weights, "weights")
         group = _from_spec(lambda v: group.with_weights(np.array(v, dtype=float)), w,

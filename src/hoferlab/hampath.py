@@ -5,9 +5,11 @@ Hamiltonian expression (``PiecewisePath`` holds the tiling rule, which the
 flat-torus paths of ``lengths`` share). The algebra mirrors how paths of
 diffeomorphisms compose: time reversal (negate and flip time), two-speed
 concatenation (each half replayed at double speed with doubled
-Hamiltonian), reparametrization by a monotone time change (for both path
-types), conjugation by an affine symplectic map (substituted into the
-expression), and pointwise sums of disjointly supported families.
+Hamiltonian) and reparametrization by a monotone time change replay each
+piece along a time map, for both path types. Conjugation by an affine
+symplectic map (substituted into the expression; on a torus it would have
+to preserve the lattice) and pointwise sums of disjointly supported
+families take ``HamiltonianPath``s only.
 
 Continuity of the underlying flow at piece boundaries is deliberately not
 part of the data model; the flow module checks it where experiments care.
@@ -174,34 +176,34 @@ def standard_symplectic_matrix(dimension):
 
 # --- the path algebra ---
 
-def reverse(f: HamiltonianPath) -> HamiltonianPath:
+def _replay(piece, a, b, s, scale):
+    """``piece`` moved to [a, b], each expression e becoming scale(e(x, s(t)))."""
+    return replace(piece.map(lambda e: scale(ex.substitute_time(e, s))), t_start=a, t_end=b)
+
+
+def reverse(f: PiecewisePath) -> PiecewisePath:
     """Time-reversed path: piece [a,b] becomes [1-b,1-a] carrying -H(x, 1-t)."""
     one_minus_t = ex.sub(ex.const(1.0), ex.Var("t"))
-    pieces = []
-    for p in reversed(f.pieces):
-        flipped = ex.neg(ex.substitute_time(p.hamiltonian, one_minus_t))
-        pieces.append(Piece(1.0 - p.t_end, 1.0 - p.t_start, flipped))
-    return replace(f, pieces=tuple(pieces))
+    return replace(f, pieces=tuple(_replay(p, 1.0 - p.t_end, 1.0 - p.t_start, one_minus_t, ex.neg)
+                                   for p in reversed(f.pieces)))
 
 
-def concatenate(f: HamiltonianPath, g: HamiltonianPath) -> HamiltonianPath:
+def concatenate(f: PiecewisePath, g: PiecewisePath) -> PiecewisePath:
     """Two-speed splice: f replayed on [0,1/2], then g on [1/2,1].
 
     Each half carries twice its Hamiltonian at double speed, so the spliced
     family generates "f's endpoint, then g's flow applied after it".
     """
-    if f.dimension != g.dimension:
-        raise ValueError("paths must share a dimension")
-    t = ex.Var("t")
-    pieces = []
-    for p in f.pieces:
-        h = ex.mul(ex.const(2.0), ex.substitute_time(p.hamiltonian, ex.mul(ex.const(2.0), t)))
-        pieces.append(Piece(p.t_start / 2.0, p.t_end / 2.0, h))
-    for p in g.pieces:
-        h = ex.mul(ex.const(2.0), ex.substitute_time(
-            p.hamiltonian, ex.sub(ex.mul(ex.const(2.0), t), ex.const(1.0))))
-        pieces.append(Piece((p.t_start + 1.0) / 2.0, (p.t_end + 1.0) / 2.0, h))
-    return replace(f, pieces=tuple(pieces))
+    if type(f) is not type(g) or f.dimension != g.dimension:
+        raise ValueError(f"cannot concatenate a {type(f).__name__} of dimension {f.dimension} "
+                         f"with a {type(g).__name__} of dimension {g.dimension}")
+    two_t = ex.mul(ex.const(2.0), ex.Var("t"))
+    two_t_minus_one = ex.sub(two_t, ex.const(1.0))
+    double = lambda e: ex.mul(ex.const(2.0), e)
+    first = [_replay(p, p.t_start / 2.0, p.t_end / 2.0, two_t, double) for p in f.pieces]
+    second = [_replay(p, (p.t_start + 1.0) / 2.0, (p.t_end + 1.0) / 2.0, two_t_minus_one,
+                      double) for p in g.pieces]
+    return replace(f, pieces=tuple(first + second))
 
 
 def _invert_monotone(s_piece, target, lo, hi):
@@ -266,9 +268,8 @@ def reparametrize(f: PiecewisePath, s) -> PiecewisePath:
                 continue
             mid_s = float(ex.eval_env(sp.hamiltonian, {"t": 0.5 * (a + b)}))
             base = f.piece_at(min(max(mid_s, 0.0), 1.0))
-            out.append(replace(base.map(
-                lambda e: ex.mul(dp.hamiltonian, ex.substitute_time(e, sp.hamiltonian))),
-                t_start=a, t_end=b))
+            out.append(_replay(base, a, b, sp.hamiltonian,
+                               lambda e: ex.mul(dp.hamiltonian, e)))
     out[0] = replace(out[0], t_start=0.0)
     out[-1] = replace(out[-1], t_end=1.0)
     fixed = [out[0]]

@@ -122,6 +122,15 @@ def test_length_hamiltonian_string(tmp_path, capsys):
     grid.write_text(json.dumps({"dim": 2, "geometry": "box", "resolution": [4, 4]}))
     assert run_cli("length", "--hamiltonian", "x1", "--grid", str(grid)) == 2
     assert "'bounds'" in capsys.readouterr().err
+    # a Hamiltonian naming coordinates beyond the grid's is a config error, not a traceback
+    grid.write_text(json.dumps({"dim": 2, "geometry": "box",
+                                "bounds": [[-2.0, -2.0], [2.0, 2.0]], "resolution": [4, 4]}))
+    cloud = tmp_path / "cloud.csv"
+    cloud.write_text("x1,y1\n0.0,0.0\n")
+    for argv in (["length"], ["flow", "--cloud", str(cloud)]):
+        assert run_cli(*argv, "--hamiltonian", "x2*y1", "--grid", str(grid)) == 2
+        err = capsys.readouterr().err
+        assert "(at hamiltonian)" in err and "beyond the declared dimension" in err
 
 
 def test_length_missing_file_is_config_error(tmp_path):
@@ -174,8 +183,7 @@ def test_snowflake_dk_mode(tmp_path, capsys):
     assert run_cli("snowflake", "--group", "Z4", "--seed", "3") == 0
     assert from_file == json.loads(capsys.readouterr().out)
     assert run_cli("snowflake", "--group", str(f), "--mode", "bogus") == 2
-    assert run_cli("snowflake", "--group", "NotAGroup") == 2
-    for argv, flag in ((["--group", "Z0"], "group"),
+    for argv, flag in ((["--group", "NotAGroup"], "group"), (["--group", "Z0"], "group"),
                        (["--group", "Z4", "--mode", "dk:x"], "--mode"),
                        (["--group", "Z4", "--mode", "dk:-1"], "--mode")):
         capsys.readouterr()
@@ -223,6 +231,20 @@ def test_commutator_subcommand(tmp_path, capsys):
     bad.write_text(json.dumps({"linear": [[2.0, 0.0], [0.0, 1.0]],
                                "shift": [0.0, 0.0]}))
     assert run_cli("commutator", "--path", p, "--theta", str(bad)) == 2
+
+
+def test_flow_and_commutator_reject_torus_paths(tmp_path, capsys):
+    # only length reads torus paths; the others name the path instead of a traceback
+    p = torus_path_json(tmp_path)
+    cloud = tmp_path / "cloud.csv"
+    cloud.write_text("x1,y1\n0.0,0.0\n")
+    theta = tmp_path / "theta.json"
+    theta.write_text(json.dumps({"linear": [[1.0, 0.0], [0.0, 1.0]], "shift": [0.0, 0.0]}))
+    for argv in (["flow", "--path", p, "--cloud", str(cloud)],
+                 ["commutator", "--path", p, "--theta", str(theta)]):
+        capsys.readouterr()
+        assert run_cli(*argv) == 2
+        assert "(at path)" in capsys.readouterr().err
 
 
 def test_disjoint_subcommand(tmp_path, capsys):

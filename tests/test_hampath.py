@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from hoferlab import corpus
 from hoferlab import expr as E
 from hoferlab import hampath as hp
 from hoferlab import lengths as L
@@ -103,6 +104,49 @@ def test_concat_reverse_compatibility():
     pts = np.array([[0.4, -0.2], [1.3, 0.6]])
     for t in (0.1, 0.3, 0.52, 0.9):
         assert np.abs(eval_path(lhs, t, pts) - eval_path(rhs, t, pts)).max() < 1e-12
+
+
+def test_concatenate_rejects_mismatched_paths():
+    f = path_of((0.0, 1.0, "x1"))
+    phi = L.TorusSymplecticPath((L.TorusPiece(0.0, 1.0, (E.parse("1"), E.parse("0")),
+                                              E.parse("sin(6.283185307179586*x1)")),), 2, TORUS)
+    with pytest.raises(ValueError, match="TorusSymplecticPath"):
+        hp.concatenate(f, phi)
+    with pytest.raises(ValueError, match="TorusSymplecticPath"):
+        hp.concatenate(phi, f)
+    grid4 = Grid.box([-2.0] * 4, [2.0] * 4, (4, 4, 4, 4))
+    g = hp.HamiltonianPath((hp.Piece(0.0, 1.0, E.parse("x2*y2")),), 4, grid4)
+    with pytest.raises(ValueError, match="dimension 4"):
+        hp.concatenate(f, g)
+
+
+def _reverse_by_hand(f):
+    one_minus_t = E.sub(E.const(1.0), E.Var("t"))
+    return tuple(hp.Piece(1.0 - p.t_end, 1.0 - p.t_start,
+                          E.neg(E.substitute_time(p.hamiltonian, one_minus_t)))
+                 for p in reversed(f.pieces))
+
+
+def _concatenate_by_hand(f, g):
+    t = E.Var("t")
+    first = [hp.Piece(p.t_start / 2.0, p.t_end / 2.0, E.mul(E.const(2.0), E.substitute_time(
+                 p.hamiltonian, E.mul(E.const(2.0), t)))) for p in f.pieces]
+    second = [hp.Piece((p.t_start + 1.0) / 2.0, (p.t_end + 1.0) / 2.0, E.mul(
+                  E.const(2.0), E.substitute_time(
+                      p.hamiltonian, E.sub(E.mul(E.const(2.0), t), E.const(1.0)))))
+              for p in g.pieces]
+    return tuple(first + second)
+
+
+def test_reverse_and_concatenate_build_the_hand_built_trees():
+    # the shared replay step builds the same trees as piece-by-piece construction
+    rng = np.random.default_rng(42)
+    paths = [corpus.random_path(rng) for _ in range(20)]
+    assert any(len(f.pieces) > 1 for f in paths)
+    for f in paths:
+        assert hp.reverse(f).pieces == _reverse_by_hand(f)
+    for f, g in zip(paths[::2], paths[1::2]):
+        assert hp.concatenate(f, g).pieces == _concatenate_by_hand(f, g)
 
 
 def test_reparametrize_identity_is_noop():

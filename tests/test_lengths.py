@@ -296,6 +296,25 @@ def test_torus_reparametrize_substitutes_every_expression():
         assert hp.reparametrize(phi, s).pieces == (want,)
 
 
+def test_torus_reverse_and_concatenate_identities():
+    # flux is a homomorphism; hl keeps every order under reversal and scales
+    # order i by 2^i under the two-speed splice, as length_k does
+    rng = np.random.default_rng(11)
+    for i in range(10):
+        phi = corpus.random_torus_path(rng, smooth=bool(i % 2))
+        psi = corpus.random_torus_path(rng, smooth=bool(i % 2))
+        flux_phi, flux_psi = L.flux_harmonic(phi), L.flux_harmonic(psi)
+        assert np.abs(L.flux_harmonic(hp.reverse(phi)) + flux_phi).max() <= 1e-12
+        assert np.abs(L.flux_harmonic(hp.concatenate(phi, psi))
+                      - flux_phi - flux_psi).max() <= 1e-12
+        a, b, r, c = (L.hofer_like_length_k(x, 3, time_samples=10).per_order
+                      for x in (phi, psi, hp.reverse(phi), hp.concatenate(phi, psi)))
+        for j in range(4):
+            assert abs(r[j] - a[j]) <= 1e-12 * max(a[j], 1e-300)
+            want = 2.0 ** j * (a[j] + b[j])
+            assert abs(c[j] - want) <= 1e-12 * max(want, 1e-300)
+
+
 def test_flux_examples():
     assert np.allclose(L.flux_harmonic(torus_path(("1", "0"), "0")), [1.0, 0.0])
     wobble = torus_path(("sin(6.283185307179586*t)", "0"), "0")
