@@ -35,7 +35,8 @@ from .errors import ConfigInvalid, HoferLabError, ParameterOutOfRange
 from .experiments import (commutator_bound_report, constants, disjoint_bound_check,
                           shell_decay_report, shift_certificate, square_displacement)
 from .grid import Grid, check_support_margin, sample
-from .hampath import AffineSymplectic, HamiltonianPath, autonomous_path, box_corners
+from .hampath import (AffineSymplectic, HamiltonianPath, TorusSymplecticPath, autonomous_path,
+                      box_corners, common_domain, path_from_json)
 from .verify import run_suite, summary_bytes
 
 EXIT_OK = 0
@@ -96,13 +97,7 @@ def _in_range(compute, key):
         raise ConfigInvalid(str(err), key(err.name)) from err
 
 
-def _path_from_json(spec):
-    if spec.get("pieces") and "harmonic" in spec["pieces"][0]:
-        return ln.TorusSymplecticPath.from_json(spec)
-    return HamiltonianPath.from_json(spec)
-
-
-def _load_path(path_file, parse=_path_from_json):
+def _load_path(path_file, parse=path_from_json):
     return _from_spec(parse, _load_json(path_file, "path"), "path spec", "path")
 
 
@@ -110,7 +105,7 @@ def _load_grid(grid_file):
     return _from_spec(Grid.from_json, _load_json(grid_file, "grid"), "grid spec", "grid")
 
 
-def _resolve_path_argument(args, parse=_path_from_json):
+def _resolve_path_argument(args, parse=path_from_json):
     """A path JSON file read by ``parse``, or a bare Hamiltonian DSL string plus a grid."""
     if getattr(args, "hamiltonian", None):
         if args.path:
@@ -133,11 +128,11 @@ def cmd_length(args):
         grid = path.domain
     else:
         grid = _load_grid(args.grid)
-    if args.kind != "hl" and isinstance(path, ln.TorusSymplecticPath):
+    if args.kind != "hl" and isinstance(path, TorusSymplecticPath):
         raise ConfigInvalid("split torus paths support kind=hl only", "kind")
     if args.kind == "kp" and args.p is None:
         raise ConfigInvalid("--p is required for kind=kp", "p")
-    if args.kind == "hl" and not isinstance(path, ln.TorusSymplecticPath):
+    if args.kind == "hl" and not isinstance(path, TorusSymplecticPath):
         raise ConfigInvalid("kind=hl needs a torus path with harmonic pieces", "path")
     rep = _in_range(lambda: _length_report(args, path, grid),
                     lambda name: "--" + name.replace("_", "-"))
@@ -173,7 +168,8 @@ def cmd_flow(args):
     except FileNotFoundError as err:
         raise ConfigInvalid(f"cloud file not found: {args.cloud}", "cloud") from err
     cloud = _from_spec(fl.TracerCloud.from_csv, text, f"cloud file {args.cloud}", "cloud")
-    fm = fl.integrate(path, cloud, args.steps)
+    fm = _in_range(lambda: fl.integrate(path, cloud, args.steps),
+                   {"steps_per_piece": "--steps"}.get)
     if args.out_prefix:
         with open(args.out_prefix + ".final.csv", "w", encoding="utf-8") as fh:
             fh.write(fm.final.to_csv())
@@ -205,7 +201,8 @@ def cmd_gm(args):
 
 
 def cmd_displace(args):
-    _, cert = _in_range(lambda: square_displacement(args.c, k_max=args.k_max), {"area": "--c"}.get)
+    _, cert = _in_range(lambda: square_displacement(args.c, k_max=args.k_max),
+                        {"area": "--c", "k_max": "--k-max"}.get)
     _emit(cert.to_json(), args.out)
     return EXIT_OK if cert.ok() else EXIT_CHECK_FAILED
 
@@ -222,7 +219,7 @@ def cmd_commutator(args):
     theta = _from_spec(lambda s: AffineSymplectic(np.array(s["linear"], dtype=float),
                                                   np.array(s["shift"], dtype=float)),
                        spec, "affine map", "theta")
-    rep = commutator_bound_report(path, theta, args.k)
+    rep = _in_range(lambda: commutator_bound_report(path, theta, args.k), "--{}".format)
     _emit(rep.to_json(), args.out)
     return EXIT_OK if rep.ok() else EXIT_CHECK_FAILED
 
@@ -249,6 +246,7 @@ def cmd_disjoint(args):
         raise ConfigInvalid("'paths' must list at least one path", "$.paths")
     paths = [_from_spec(HamiltonianPath.from_json, p, "path spec", f"$.paths[{i}]")
              for i, p in enumerate(cfg["paths"])]
+    _from_spec(common_domain, paths, "paths", "$.paths")
     boxes = _from_spec(lambda b: box_corners(paths, b), cfg["boxes"], "boxes", "$.boxes")
     k = _from_spec(int, cfg["k"], "k", "$.k")
     rep = _in_range(lambda: disjoint_bound_check(paths, boxes, k), lambda name: f"$.{name}")

@@ -21,8 +21,7 @@ import numpy as np
 
 from . import expr as ex
 from .grid import Grid
-from .hampath import HamiltonianPath, Piece
-from .lengths import TorusPiece, TorusSymplecticPath
+from .hampath import HamiltonianPath, Piece, TorusPiece, TorusSymplecticPath
 
 BOX_HALF = 2.0
 DEFAULT_GRID = Grid.box([-BOX_HALF, -BOX_HALF], [BOX_HALF, BOX_HALF], (20, 20))

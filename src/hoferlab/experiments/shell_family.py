@@ -170,8 +170,12 @@ def shell_decay_report(m_values, k: int, p: float, orders=None,
     """
     if p <= 0:
         raise ParameterOutOfRange("p", "p must be > 0")
+    if k < 0:
+        raise ParameterOutOfRange("k", "k must be >= 0")
     orders = list(range(k + 1)) if orders is None else sorted(orders)
     m_values = tuple(int(m) for m in m_values)
+    if len(set(m_values)) < 2:
+        raise ParameterOutOfRange("m", "fitting a slope needs two distinct m values")
     max_norms = {i: [] for i in orders}
     integrals = {i: [] for i in orders}
     totals = []

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as ex
-from .errors import BlowUp, CloudMismatch, StepErrorWarning
+from .errors import BlowUp, CloudMismatch, ParameterOutOfRange, StepErrorWarning
 from .hampath import HamiltonianPath
 
 DEFAULT_SAFETY_RADIUS = 1e6
@@ -127,6 +127,8 @@ def integrate(f: HamiltonianPath, cloud: TracerCloud, steps_per_piece: int = 256
     piece share their common subtrees (``expr.share_subtrees``), which are
     evaluated once per RK4 stage.
     """
+    if steps_per_piece < 1:
+        raise ParameterOutOfRange("steps_per_piece", "need at least 1 step per piece")
     pts0 = cloud.points
     dim = pts0.shape[1]
     if dim < f.dimension:

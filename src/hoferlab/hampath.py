@@ -1,15 +1,17 @@
-"""Piecewise-smooth Hamiltonian paths and their algebra.
+"""Piecewise-smooth paths of both types, their JSON and their algebra.
 
-A path is an ordered list of pieces tiling [0, 1] exactly, each carrying a
-Hamiltonian expression (``PiecewisePath`` holds the tiling rule, which the
-flat-torus paths of ``lengths`` share). The algebra mirrors how paths of
+A path is an ordered list of pieces tiling [0, 1] exactly. A
+``HamiltonianPath`` piece carries one Hamiltonian expression; a flat-torus
+``TorusSymplecticPath`` piece carries constant-form coefficients and an exact
+potential. ``PiecewisePath`` holds the tiling rule and one JSON codec, in
+which each piece type writes its own fields. The algebra mirrors how paths of
 diffeomorphisms compose: time reversal (negate and flip time), two-speed
 concatenation (each half replayed at double speed with doubled
 Hamiltonian) and reparametrization by a monotone time change replay each
 piece along a time map, for both path types. Conjugation by an affine
 symplectic map (substituted into the expression; on a torus it would have
 to preserve the lattice) and pointwise sums of disjointly supported
-families take ``HamiltonianPath``s only.
+families take ``HamiltonianPath``s only. Splices and sums need one domain.
 
 Continuity of the underlying flow at piece boundaries is deliberately not
 part of the data model; the flow module checks it where experiments care.
@@ -17,13 +19,12 @@ part of the data model; the flow module checks it where experiments care.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import expr as ex
-from .errors import NotMonotone, SupportOverlap
+from .errors import GeometryError, NotMonotone, SupportOverlap
 from .grid import Grid
 
 
@@ -41,12 +42,47 @@ class Piece:
         """The piece with ``fn`` applied to its Hamiltonian."""
         return replace(self, hamiltonian=fn(self.hamiltonian))
 
+    def fields_json(self):
+        return {"expr": ex.to_source(self.hamiltonian)}
+
+    @staticmethod
+    def parse_fields(spec):
+        return (ex.parse(spec["expr"]),)
+
+
+@dataclass(frozen=True)
+class TorusPiece:
+    t_start: float
+    t_end: float
+    harmonic: tuple        # 2n coefficient Expressions, functions of t only
+    exact: ex.Expression   # potential U(x, t); mean is irrelevant to osc
+
+    def __post_init__(self):
+        if not self.t_start < self.t_end:
+            raise ValueError("piece needs t_start < t_end")
+        for lam in self.harmonic:
+            if ex.variables(lam) - {"t"}:
+                raise ValueError("harmonic coefficients must depend on t only")
+
+    def map(self, fn):
+        """The piece with ``fn`` applied to every coefficient and the potential."""
+        return replace(self, harmonic=tuple(fn(lam) for lam in self.harmonic),
+                       exact=fn(self.exact))
+
+    def fields_json(self):
+        return {"harmonic": [ex.to_source(l) for l in self.harmonic],
+                "exact": ex.to_source(self.exact)}
+
+    @staticmethod
+    def parse_fields(spec):
+        return tuple(ex.parse(l) for l in spec["harmonic"]), ex.parse(spec["exact"])
+
 
 @dataclass(frozen=True)
 class PiecewisePath:
     """Pieces tiling [0, 1] without gaps, each naming only coordinates within
-    ``dimension``; each piece type has ``map``, which applies a function to
-    every expression of the piece."""
+    ``dimension``; each piece type (a path type's ``PIECE``) has ``map``, which
+    applies a function to every expression, and reads and writes its own JSON fields."""
 
     pieces: tuple
     dimension: int
@@ -78,35 +114,47 @@ class PiecewisePath:
                 return p
         raise ValueError(f"t={t} outside [0,1]")
 
-
-@dataclass(frozen=True)
-class HamiltonianPath(PiecewisePath):
-    def hamiltonian_at(self, t):
-        return self.piece_at(t).hamiltonian
-
     def to_json(self):
         return {
             "dimension": self.dimension,
-            "pieces": [{"t0": p.t_start, "t1": p.t_end,
-                        "expr": ex.to_source(p.hamiltonian)} for p in self.pieces],
+            "pieces": [{"t0": p.t_start, "t1": p.t_end, **p.fields_json()}
+                       for p in self.pieces],
             "domain": self.domain.to_json(),
         }
 
-    @staticmethod
-    def from_json(spec):
-        pieces = tuple(Piece(float(p["t0"]), float(p["t1"]), ex.parse(p["expr"]))
+    @classmethod
+    def from_json(cls, spec):
+        pieces = tuple(cls.PIECE(float(p["t0"]), float(p["t1"]), *cls.PIECE.parse_fields(p))
                        for p in spec["pieces"])
-        return HamiltonianPath(pieces, int(spec["dimension"]),
-                               Grid.from_json(spec["domain"]))
+        return cls(pieces, int(spec["dimension"]), Grid.from_json(spec["domain"]))
 
-    def write(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, indent=2, sort_keys=True)
 
-    @staticmethod
-    def read(path):
-        with open(path, "r", encoding="utf-8") as fh:
-            return HamiltonianPath.from_json(json.load(fh))
+@dataclass(frozen=True)
+class HamiltonianPath(PiecewisePath):
+    PIECE = Piece
+
+    def hamiltonian_at(self, t):
+        return self.piece_at(t).hamiltonian
+
+
+@dataclass(frozen=True)
+class TorusSymplecticPath(PiecewisePath):
+    PIECE = TorusPiece
+
+    def __post_init__(self):
+        if self.domain.geometry != "torus":
+            raise GeometryError("symplectic paths with a harmonic part live on a torus")
+        super().__post_init__()
+        for p in self.pieces:
+            if len(p.harmonic) != self.dimension:
+                raise ValueError("need one coefficient per constant 1-form, i.e. 2n")
+
+
+def path_from_json(spec) -> PiecewisePath:
+    """A TorusSymplecticPath when the first piece has ``harmonic``, else a HamiltonianPath."""
+    if spec.get("pieces") and "harmonic" in spec["pieces"][0]:
+        return TorusSymplecticPath.from_json(spec)
+    return HamiltonianPath.from_json(spec)
 
 
 def autonomous_path(expression, dimension, domain) -> HamiltonianPath:
@@ -197,6 +245,7 @@ def concatenate(f: PiecewisePath, g: PiecewisePath) -> PiecewisePath:
     if type(f) is not type(g) or f.dimension != g.dimension:
         raise ValueError(f"cannot concatenate a {type(f).__name__} of dimension {f.dimension} "
                          f"with a {type(g).__name__} of dimension {g.dimension}")
+    common_domain([f, g])
     two_t = ex.mul(ex.const(2.0), ex.Var("t"))
     two_t_minus_one = ex.sub(two_t, ex.const(1.0))
     double = lambda e: ex.mul(ex.const(2.0), e)
@@ -286,6 +335,16 @@ def conjugate(f: HamiltonianPath, theta: AffineSymplectic) -> HamiltonianPath:
     return replace(f, pieces=pieces)
 
 
+def common_domain(paths):
+    """The domain that all ``paths`` share; a ValueError names the first two that differ."""
+    domain = paths[0].domain
+    for f in paths[1:]:
+        if f.domain != domain:
+            raise ValueError(f"paths live on different domains: {domain.to_json()} "
+                             f"and {f.domain.to_json()}")
+    return domain
+
+
 def _common_division(paths):
     cuts = sorted({b for f in paths for b in f.breakpoints})
     merged = [cuts[0]]
@@ -343,11 +402,11 @@ def disjoint_product(paths, boxes=None, grid=None) -> HamiltonianPath:
     Supports are validated by sampling when boxes are supplied.
     """
     paths = list(paths)
+    domain = common_domain(paths)
     if len(paths) == 1 and boxes is None:
         return paths[0]
-    base = paths[0]
     if boxes is not None:
-        validate_disjoint_supports(paths, boxes, grid or base.domain)
+        validate_disjoint_supports(paths, boxes, grid or domain)
     division = _common_division(paths)
     pieces = []
     for a, b in zip(division, division[1:]):
@@ -357,4 +416,4 @@ def disjoint_product(paths, boxes=None, grid=None) -> HamiltonianPath:
             h = f.piece_at(mid).hamiltonian
             total = h if total is None else ex.add(total, h)
         pieces.append(Piece(a, b, total))
-    return replace(base, pieces=tuple(pieces))
+    return replace(paths[0], pieces=tuple(pieces))

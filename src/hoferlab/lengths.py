@@ -1,4 +1,4 @@
-"""Length functionals on piecewise-smooth Hamiltonian paths.
+"""Length functionals on the piecewise-smooth paths of ``hampath``.
 
 Four variants are computed, each with a per-derivative-order breakdown:
 
@@ -6,15 +6,16 @@ Four variants are computed, each with a per-derivative-order breakdown:
                         spatial oscillation of the i-th time derivative;
 * ``coarse_length_k``   time suprema instead of time integrals;
 * ``length_kp``         L_p spatial norms instead of oscillations;
-* ``hofer_like_length_k``  flat-torus variant splitting a symplectic path
-                        into constant-form coefficients plus an exact
-                        potential, with the l^1 size of the coefficients.
+* ``hofer_like_length_k``  the flat-torus variant on a ``TorusSymplecticPath``:
+                        the l^1 size of the constant-form coefficients plus
+                        the oscillation of the exact potential.
 
 Every number produced here is a sampled length of the *given* path, never the
 infimum-over-paths metric, which the exact length bounds from above; sampling
 can read below the exact length (``two_resolution`` brackets the grid error).
 
-Time quadrature is composite 5-point Gauss-Legendre per piece. The coarse
+Time quadrature is composite 5-point Gauss-Legendre per piece, in one
+per-piece loop that the three integral variants share. The coarse
 functional is sampled on a global uniform closed lattice, which makes it
 exactly invariant under division refinements whose new breakpoints lie on
 the lattice.
@@ -23,14 +24,14 @@ the lattice.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import expr as ex
-from .errors import GeometryError, ParameterOutOfRange
+from .errors import ParameterOutOfRange
 from .grid import Grid
-from .hampath import HamiltonianPath, PiecewisePath
+from .hampath import HamiltonianPath, TorusSymplecticPath
 
 UPPER_BOUND_NOTE = ("path length only: an upper bound for the infimum-over-paths "
                     "(quasi)metric, which is not computed")
@@ -118,7 +119,7 @@ def _report(per_piece, combine, quadrature, kind):
 def length_k(f: HamiltonianPath, k: int, grid: Grid = None,
              time_samples: int = 10) -> LengthReport:
     """Sum_{i<=k} integral of osc_x(d^i H / dt^i) dt over each piece."""
-    return _integral_length(f, k, grid, time_samples, _oscillation, "k")
+    return _integral_length(f, k, grid, time_samples, _derivative_sizes(_oscillation), "k")
 
 
 def length_kp(f: HamiltonianPath, k: int, p: float, grid: Grid = None,
@@ -131,7 +132,7 @@ def length_kp(f: HamiltonianPath, k: int, p: float, grid: Grid = None,
     def lp(vals):
         return (float(np.sum(np.abs(vals) ** p)) * vol) ** (1.0 / p)
 
-    return _integral_length(f, k, grid, time_samples, lp, "kp", p=p)
+    return _integral_length(f, k, grid, time_samples, _derivative_sizes(lp), "kp", p=p)
 
 
 def check_sampling(k, time_samples):
@@ -142,15 +143,32 @@ def check_sampling(k, time_samples):
         raise ParameterOutOfRange("time_samples", "need at least 8 time samples")
 
 
-def _integral_length(f, k, grid, time_samples, size, kind, **quad_extra):
+def _derivative_sizes(size):
+    """Per-piece table of ``size`` of each time derivative of a Hamiltonian piece."""
+    return lambda piece, k, pts, nodes: _size_table(ex.time_derivatives(piece.hamiltonian, k),
+                                                    pts, nodes, size)
+
+
+def _torus_sizes(piece, k, pts, nodes):
+    """Per-piece table of l^1 of the coefficient derivatives plus osc of the potential's."""
+    # |d^i lambda_j / dt^i| per (node, j, i); the coefficients depend on t
+    # only, so one sample point suffices. The l^1 sum runs over j in order.
+    coeffs = [d for lam in piece.harmonic for d in ex.time_derivatives(lam, k)]
+    per_coeff = _size_table(coeffs, pts[:1], nodes, lambda v: abs(float(v[0])))
+    per_coeff = per_coeff.reshape(len(nodes), len(piece.harmonic), k + 1)
+    l1 = sum(per_coeff[:, j] for j in range(len(piece.harmonic)))
+    return l1 + _size_table(ex.time_derivatives(piece.exact, k), pts, nodes, _oscillation)
+
+
+def _integral_length(f, k, grid, time_samples, piece_sizes, kind, **quad_extra):
+    """Time integrals of the (nodes x orders) table ``piece_sizes(piece, k, pts, nodes)``."""
     check_sampling(k, time_samples)
     grid = grid or f.domain
     pts = grid.points()
     per_piece = []
     for piece in f.pieces:
         nodes, weights = _time_rule(piece, time_samples)
-        sizes = _size_table(ex.time_derivatives(piece.hamiltonian, k), pts, nodes, size)
-        per_piece.append(_time_integral(weights, sizes))
+        per_piece.append(_time_integral(weights, piece_sizes(piece, k, pts, nodes)))
     quad = {"time_samples": int(time_samples), "scheme": "gauss-legendre-5", **quad_extra}
     return _report(per_piece, np.sum, quad, kind)
 
@@ -196,79 +214,11 @@ def coarse_length_k(f: HamiltonianPath, k: int, grid: Grid = None,
                    "coarse")
 
 
-# --- flat-torus paths split into constant-form + exact parts ---
-
-@dataclass(frozen=True)
-class TorusPiece:
-    t_start: float
-    t_end: float
-    harmonic: tuple        # 2n coefficient Expressions, functions of t only
-    exact: ex.Expression   # potential U(x, t); mean is irrelevant to osc
-
-    def __post_init__(self):
-        if not self.t_start < self.t_end:
-            raise ValueError("piece needs t_start < t_end")
-        for lam in self.harmonic:
-            if ex.variables(lam) - {"t"}:
-                raise ValueError("harmonic coefficients must depend on t only")
-
-    def map(self, fn):
-        """The piece with ``fn`` applied to every coefficient and the potential."""
-        return replace(self, harmonic=tuple(fn(lam) for lam in self.harmonic),
-                       exact=fn(self.exact))
-
-
-@dataclass(frozen=True)
-class TorusSymplecticPath(PiecewisePath):
-    def __post_init__(self):
-        if self.domain.geometry != "torus":
-            raise GeometryError("symplectic paths with a harmonic part live on a torus")
-        super().__post_init__()
-        for p in self.pieces:
-            if len(p.harmonic) != self.dimension:
-                raise ValueError("need one coefficient per constant 1-form, i.e. 2n")
-
-    def to_json(self):
-        return {
-            "dimension": self.dimension,
-            "pieces": [{"t0": p.t_start, "t1": p.t_end,
-                        "harmonic": [ex.to_source(l) for l in p.harmonic],
-                        "exact": ex.to_source(p.exact)} for p in self.pieces],
-            "domain": self.domain.to_json(),
-        }
-
-    @staticmethod
-    def from_json(spec):
-        pieces = tuple(
-            TorusPiece(float(p["t0"]), float(p["t1"]),
-                       tuple(ex.parse(l) for l in p["harmonic"]),
-                       ex.parse(p["exact"]))
-            for p in spec["pieces"])
-        return TorusSymplecticPath(pieces, int(spec["dimension"]),
-                                   Grid.from_json(spec["domain"]))
-
-
 def hofer_like_length_k(phi: TorusSymplecticPath, k: int, grid: Grid = None,
                         time_samples: int = 10) -> LengthReport:
     """Sum_{i<=k} integral of (l^1 of coefficient derivatives + osc of the
     potential's derivative)."""
-    check_sampling(k, time_samples)
-    grid = grid or phi.domain
-    pts = grid.points()
-    origin = np.zeros((1, phi.dimension))
-    per_piece = []
-    for piece in phi.pieces:
-        nodes, weights = _time_rule(piece, time_samples)
-        coeffs = [d for lam in piece.harmonic for d in ex.time_derivatives(lam, k)]
-        # |d^i lambda_j / dt^i| per (node, j, i); the coefficients depend on t
-        # only, so one sample point suffices. The l^1 sum runs over j in order.
-        per_coeff = _size_table(coeffs, origin, nodes, lambda v: abs(float(v[0])))
-        per_coeff = per_coeff.reshape(len(nodes), len(piece.harmonic), k + 1)
-        l1 = sum(per_coeff[:, j] for j in range(len(piece.harmonic)))
-        sizes = _size_table(ex.time_derivatives(piece.exact, k), pts, nodes, _oscillation)
-        per_piece.append(_time_integral(weights, l1 + sizes))
-    return _report(per_piece, np.sum,
-                   {"time_samples": int(time_samples), "scheme": "gauss-legendre-5"}, "hl")
+    return _integral_length(phi, k, grid, time_samples, _torus_sizes, "hl")
 
 
 def flux_harmonic(phi: TorusSymplecticPath) -> np.ndarray:

@@ -246,7 +246,7 @@ def check_hofer_like(seed, count=20):
     grid = corpus.TORUS_GRID
     # pure constant-coefficient path: total 1 for every k
     lam = (ex.const(1.0), ex.const(0.0))
-    pure = ln.TorusSymplecticPath((ln.TorusPiece(0.0, 1.0, lam, ex.const(0.0)),), 2, grid)
+    pure = hp.TorusSymplecticPath((hp.TorusPiece(0.0, 1.0, lam, ex.const(0.0)),), 2, grid)
     pure_devs = [abs(ln.hofer_like_length_k(pure, k, time_samples=10).total - 1.0)
                  for k in range(4)]
     # reparametrization invariance of the order-0 value
@@ -274,8 +274,8 @@ def check_flux(seed, count=20):
         # l1 of the flux vs the time integral of the coefficient l1 size
         rep = ln.hofer_like_length_k(phi, 0, time_samples=30)
         u_only = ln.hofer_like_length_k(
-            ln.TorusSymplecticPath(
-                tuple(ln.TorusPiece(p.t_start, p.t_end,
+            hp.TorusSymplecticPath(
+                tuple(hp.TorusPiece(p.t_start, p.t_end,
                                     tuple(ex.const(0.0) for _ in p.harmonic), p.exact)
                       for p in phi.pieces), phi.dimension, phi.domain),
             0, time_samples=30)

@@ -147,7 +147,11 @@ def test_flow_subcommand(tmp_path, capsys):
     final = (tmp_path / "flow.final.csv").read_text()
     rows = final.strip().splitlines()[1:]
     assert float(rows[0].split(",")[1]) == pytest.approx(2.0, abs=1e-10)
-    capsys.readouterr()
+    # fewer than one step per piece is a config error, not a traceback or a no-op
+    for steps in ("0", "-4"):
+        capsys.readouterr()
+        assert run_cli("flow", "--path", p, "--cloud", str(cloud), "--steps", steps) == 2
+        assert "(at --steps)" in capsys.readouterr().err
     cloud.write_text("x1,y1\n0.0,abc\n")
     assert run_cli("flow", "--path", p, "--cloud", str(cloud)) == 2
     assert "cloud.csv" in capsys.readouterr().err
@@ -201,6 +205,7 @@ def test_displace_and_shift(capsys):
     assert run_cli("shift", "--v", "1.0", "--eps", "0.5") == 0
     # out-of-range numbers are config errors naming the flag, not tracebacks
     for argv, flag in ((["displace", "--c", "-1"], "--c"),
+                       (["displace", "--c", "1", "--k-max", "-1"], "--k-max"),
                        (["shift", "--v", "-1", "--eps", "0.1"], "--v"),
                        (["shift", "--v", "1", "--eps", "0"], "--eps")):
         capsys.readouterr()
@@ -215,7 +220,8 @@ def test_gm_subcommand(tmp_path, capsys):
     assert os.path.exists(os.path.join(out_dir, "decay.csv"))
     assert os.path.exists(os.path.join(out_dir, "decay.dat"))
     for argv, flag in ((["--m", "0"], "--m"), (["--m", "2", "--p", "0"], "--p"),
-                       (["--m", "abc"], "--m"), (["--m", "2", "--orders", "x"], "--orders")):
+                       (["--m", "abc"], "--m"), (["--m", "2", "--orders", "x"], "--orders"),
+                       (["--k", "-1"], "--k"), (["--m", "4"], "--m"), (["--m", "4,4"], "--m")):
         capsys.readouterr()
         assert run_cli("gm", *argv) == 2
         assert f"(at {flag})" in capsys.readouterr().err
@@ -231,6 +237,9 @@ def test_commutator_subcommand(tmp_path, capsys):
     bad.write_text(json.dumps({"linear": [[2.0, 0.0], [0.0, 1.0]],
                                "shift": [0.0, 0.0]}))
     assert run_cli("commutator", "--path", p, "--theta", str(bad)) == 2
+    capsys.readouterr()
+    assert run_cli("commutator", "--path", p, "--theta", str(theta), "--k", "-1") == 2
+    assert "(at --k)" in capsys.readouterr().err
 
 
 def test_flow_and_commutator_reject_torus_paths(tmp_path, capsys):
@@ -281,6 +290,15 @@ def test_disjoint_subcommand(tmp_path, capsys):
     f.write_text(json.dumps(dict(cfg, paths=[])))
     assert run_cli("disjoint", "--config", str(f)) == 2
     assert "$.paths" in capsys.readouterr().err
+    # every path lives on the first path's domain: before, the second one was dropped
+    far = {"dimension": 2,
+           "pieces": [{"t0": 0.0, "t1": 1.0,
+                       "expr": "step((x1 - 7)/0.4, 0.5, 1)*step((y1 - 7)/0.4, 0.5, 1)"}],
+           "domain": dict(cfg["paths"][0]["domain"], bounds=[[5.0, 5.0], [9.0, 9.0]])}
+    f.write_text(json.dumps(dict(cfg, paths=[cfg["paths"][0], far],
+                                 boxes=[cfg["boxes"][0], [[6.5, 6.5], [7.5, 7.5]]])))
+    assert run_cli("disjoint", "--config", str(f)) == 2
+    assert "(at $.paths)" in capsys.readouterr().err
     # every path needs its own box with corners of the path's dimension
     cfg["paths"][1]["dimension"] = 2
     cfg["paths"][1]["pieces"] = [piece(-1.0)]

@@ -1,8 +1,13 @@
-"""The package imports only the standard library, numpy and itself.
+"""The package imports only the standard library, numpy and itself, in layers.
 
 numpy is the one declared dependency; scipy, sympy or jsonschema may be
 installed where the tests run, but an import of them would break a plain
 ``pip install .``.
+
+Inside the package each module imports only modules of earlier layers in
+``LAYERS``, so paths (``hampath``) never depend on the functionals that
+measure them (``lengths``). The modules of the ``experiments`` subpackage
+form one layer and may import each other.
 """
 
 import ast
@@ -27,4 +32,39 @@ def test_package_imports_only_stdlib_and_numpy():
     bad = sorted({f"{m.relative_to(PACKAGE)}: {root}" for m in modules
                   for root in imported_roots(ast.parse(m.read_text(encoding="utf-8")))
                   if root not in ALLOWED})
+    assert not bad, bad
+
+
+LAYERS = ("errors", "expr", "grid", "hampath", "lengths", "flow", "snowflake", "corpus",
+          "experiments", "verify", "cli")
+EXEMPT = ("__init__.py", "__main__.py")
+
+
+def imported_layers(path):
+    """Layer of every hoferlab module that the module at ``path`` imports."""
+    package = ["hoferlab", *path.relative_to(PACKAGE).parent.parts]
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            targets = [alias.name.split(".") for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = package[:len(package) - node.level + 1] if node.level else []
+            base = base + (node.module.split(".") if node.module else [])
+            targets = [base] if node.module else [base + [a.name] for a in node.names]
+        else:
+            continue
+        yield from (t[1] for t in targets if t[0] == "hoferlab" and len(t) > 1)
+
+
+def test_modules_import_only_earlier_layers():
+    modules = [m for m in sorted(PACKAGE.rglob("*.py"))
+               if m.relative_to(PACKAGE).as_posix() not in EXEMPT]
+    assert modules
+    bad = []
+    for m in modules:
+        own = m.relative_to(PACKAGE).parts[0].removesuffix(".py")
+        for layer in imported_layers(m):
+            if layer == own == "experiments":
+                continue
+            if LAYERS.index(layer) >= LAYERS.index(own):
+                bad.append(f"{m.relative_to(PACKAGE)} imports {layer}")
     assert not bad, bad

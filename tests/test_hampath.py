@@ -1,5 +1,8 @@
 """Path data model and the reversal/splice/conjugation algebra."""
 
+import json
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,7 @@ from hoferlab.grid import Grid
 
 GRID = Grid.box([-2.0, -2.0], [2.0, 2.0], (16, 16))
 TORUS = Grid.torus([1.0, 1.0], (8, 8))
+SCHEMAS = pathlib.Path(__file__).resolve().parent.parent / "src" / "hoferlab" / "schemas"
 
 
 def path_of(*specs):
@@ -31,17 +35,17 @@ def test_tiling_validation():
     with pytest.raises(ValueError):
         hp.Piece(0.5, 0.5, E.parse("x1"))
     with pytest.raises(ValueError):
-        L.TorusSymplecticPath((), 2, TORUS)
+        hp.TorusSymplecticPath((), 2, TORUS)
 
 
 def test_pieces_name_only_coordinates_within_dimension():
     with pytest.raises(ValueError, match="beyond the declared dimension"):
         path_of((0.0, 1.0, "x1*y2"))
-    ok = L.TorusPiece(0.0, 1.0, (E.parse("1"), E.parse("t")), E.parse("sin(6.283185307179586*x1)"))
-    assert L.TorusSymplecticPath((ok,), 2, TORUS).pieces == (ok,)
-    bad = L.TorusPiece(0.0, 1.0, ok.harmonic, E.parse("sin(6.283185307179586*x2)"))
+    ok = hp.TorusPiece(0.0, 1.0, (E.parse("1"), E.parse("t")), E.parse("sin(6.283185307179586*x1)"))
+    assert hp.TorusSymplecticPath((ok,), 2, TORUS).pieces == (ok,)
+    bad = hp.TorusPiece(0.0, 1.0, ok.harmonic, E.parse("sin(6.283185307179586*x2)"))
     with pytest.raises(ValueError, match="beyond the declared dimension"):
-        L.TorusSymplecticPath((bad,), 2, TORUS)
+        hp.TorusSymplecticPath((bad,), 2, TORUS)
 
 
 def test_reverse_autonomous():
@@ -108,8 +112,8 @@ def test_concat_reverse_compatibility():
 
 def test_concatenate_rejects_mismatched_paths():
     f = path_of((0.0, 1.0, "x1"))
-    phi = L.TorusSymplecticPath((L.TorusPiece(0.0, 1.0, (E.parse("1"), E.parse("0")),
-                                              E.parse("sin(6.283185307179586*x1)")),), 2, TORUS)
+    phi = hp.TorusSymplecticPath((hp.TorusPiece(0.0, 1.0, (E.parse("1"), E.parse("0")),
+                                                E.parse("sin(6.283185307179586*x1)")),), 2, TORUS)
     with pytest.raises(ValueError, match="TorusSymplecticPath"):
         hp.concatenate(f, phi)
     with pytest.raises(ValueError, match="TorusSymplecticPath"):
@@ -118,6 +122,13 @@ def test_concatenate_rejects_mismatched_paths():
     g = hp.HamiltonianPath((hp.Piece(0.0, 1.0, E.parse("x2*y2")),), 4, grid4)
     with pytest.raises(ValueError, match="dimension 4"):
         hp.concatenate(f, g)
+    # a splice or sum keeps one domain: before, the second path's was dropped
+    far = Grid.box([5.0, 5.0], [9.0, 9.0], (16, 16))
+    g = hp.autonomous_path(E.parse("step((x1 - 7)/0.8, 0.5, 1)*step((y1 - 7)/0.8, 0.5, 1)"),
+                           2, far)
+    for splice in (lambda: hp.concatenate(f, g), lambda: hp.disjoint_product([f, g])):
+        with pytest.raises(ValueError, match=r"different domains.*\[5\.0, 5\.0\]"):
+            splice()
 
 
 def _reverse_by_hand(f):
@@ -180,8 +191,8 @@ def test_reparametrize_rejects_nonmonotone():
     with pytest.raises(NotMonotone):
         hp.reparametrize(f, E.parse("t*0.5"))
     # torus paths go through the same checks
-    phi = L.TorusSymplecticPath((L.TorusPiece(0.0, 1.0, (E.parse("1"), E.parse("0")),
-                                              E.parse("sin(6.283185307179586*x1)")),), 2, TORUS)
+    phi = hp.TorusSymplecticPath((hp.TorusPiece(0.0, 1.0, (E.parse("1"), E.parse("0")),
+                                                E.parse("sin(6.283185307179586*x1)")),), 2, TORUS)
     for s in ("t*0.5", "t + 0.2", "t + 0.3*sin(6.283185307179586*t)"):
         with pytest.raises(NotMonotone):
             hp.reparametrize(phi, E.parse(s))
@@ -271,7 +282,27 @@ def test_validate_disjoint_supports_needs_one_box_per_path():
         hp.disjoint_product([p], boxes=[(box[0], box[1], box[1])], grid=GRID)
 
 
+def _corpus_paths_of_both_types():
+    rng = np.random.default_rng(42)
+    return (("path.schema.json", corpus.random_path(rng)),
+            ("torus_path.schema.json", corpus.random_torus_path(rng)))
+
+
 def test_path_json_roundtrip():
     f = path_of((0.0, 0.25, "t*x1"), (0.25, 1.0, "step(x1, 0.25, 0.75)*y1"))
     back = hp.HamiltonianPath.from_json(f.to_json())
     assert back == f
+    # the one reader picks the type from the piece keys
+    for _, f in _corpus_paths_of_both_types():
+        back = hp.path_from_json(json.loads(json.dumps(f.to_json())))
+        assert type(back) is type(f) and back == f
+
+
+def test_path_json_writes_the_schema_required_keys():
+    for name, f in _corpus_paths_of_both_types():
+        with open(SCHEMAS / name, encoding="utf-8") as fh:
+            schema = json.load(fh)
+        spec = f.to_json()
+        assert set(spec) == set(schema["required"]), name
+        piece_keys = set(schema["properties"]["pieces"]["items"]["required"])
+        assert [set(p) for p in spec["pieces"]] == [piece_keys] * len(f.pieces), name

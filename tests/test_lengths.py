@@ -238,8 +238,8 @@ def test_time_samples_precondition():
 
 def torus_path(lam, u_src):
     grid = corpus.TORUS_GRID
-    piece = L.TorusPiece(0.0, 1.0, tuple(E.parse(s) for s in lam), E.parse(u_src))
-    return L.TorusSymplecticPath((piece,), 2, grid)
+    piece = hp.TorusPiece(0.0, 1.0, tuple(E.parse(s) for s in lam), E.parse(u_src))
+    return hp.TorusSymplecticPath((piece,), 2, grid)
 
 
 def test_pure_harmonic_totals_one_every_k():
@@ -270,11 +270,11 @@ def test_hl_reparametrization_invariance():
         b = L.hofer_like_length_k(psi, 0, time_samples=30).total
         assert b == pytest.approx(a, rel=1e-8)
     # a two-piece path, split by t*t at the preimage of its breakpoint
-    pieces = (L.TorusPiece(0.0, 0.5, (E.parse("1 + t"), E.parse("0")),
-                           E.parse("t*sin(6.283185307179586*x1)")),
-              L.TorusPiece(0.5, 1.0, (E.parse("2"), E.parse("-t")),
-                           E.parse("cos(6.283185307179586*y1)")))
-    phi = L.TorusSymplecticPath(pieces, 2, corpus.TORUS_GRID)
+    pieces = (hp.TorusPiece(0.0, 0.5, (E.parse("1 + t"), E.parse("0")),
+                            E.parse("t*sin(6.283185307179586*x1)")),
+              hp.TorusPiece(0.5, 1.0, (E.parse("2"), E.parse("-t")),
+                            E.parse("cos(6.283185307179586*y1)")))
+    phi = hp.TorusSymplecticPath(pieces, 2, corpus.TORUS_GRID)
     psi = hp.reparametrize(phi, E.parse("t*t"))
     assert psi.breakpoints == pytest.approx([0.0, np.sqrt(0.5), 1.0])
     a = L.hofer_like_length_k(phi, 0, time_samples=30).total
@@ -290,9 +290,9 @@ def test_torus_reparametrize_substitutes_every_expression():
         s = corpus.random_time_change(rng)
         ds = E.diff(s, "t")
         (piece,) = phi.pieces
-        want = L.TorusPiece(0.0, 1.0, tuple(E.mul(ds, E.substitute_time(lam, s))
-                                            for lam in piece.harmonic),
-                            E.mul(ds, E.substitute_time(piece.exact, s)))
+        want = hp.TorusPiece(0.0, 1.0, tuple(E.mul(ds, E.substitute_time(lam, s))
+                                             for lam in piece.harmonic),
+                             E.mul(ds, E.substitute_time(piece.exact, s)))
         assert hp.reparametrize(phi, s).pieces == (want,)
 
 
@@ -344,12 +344,12 @@ def test_harmonic_coefficients_must_be_time_only():
 
 def test_torus_path_needs_torus_grid():
     from hoferlab.errors import GeometryError
-    piece = L.TorusPiece(0.0, 1.0, (E.parse("1"), E.parse("0")), E.parse("0"))
+    piece = hp.TorusPiece(0.0, 1.0, (E.parse("1"), E.parse("0")), E.parse("0"))
     with pytest.raises(GeometryError):
-        L.TorusSymplecticPath((piece,), 2, GRID)
+        hp.TorusSymplecticPath((piece,), 2, GRID)
 
 
 def test_torus_json_roundtrip():
     phi = torus_path(("1", "sin(6.283185307179586*t)"), "cos(6.283185307179586*x1)")
-    back = L.TorusSymplecticPath.from_json(phi.to_json())
+    back = hp.TorusSymplecticPath.from_json(phi.to_json())
     assert back == phi
