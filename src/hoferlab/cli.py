@@ -34,7 +34,7 @@ from . import snowflake as sf
 from .errors import ConfigInvalid, HoferLabError, ParameterOutOfRange
 from .experiments import (commutator_bound_report, constants, disjoint_bound_check,
                           shell_decay_report, shift_certificate, square_displacement)
-from .grid import Grid, check_support_margin, sample
+from .grid import Grid, check_support_margin
 from .hampath import (AffineSymplectic, HamiltonianPath, TorusSymplecticPath, autonomous_path,
                       box_corners, common_domain, path_from_json)
 from .verify import run_suite, summary_bytes
@@ -138,9 +138,10 @@ def cmd_length(args):
                     lambda name: "--" + name.replace("_", "-"))
     # outside input: warn when a piece does not vanish near the box boundary
     if isinstance(path, HamiltonianPath):
+        pts = grid.points()
         for piece in path.pieces:
             mid = 0.5 * (piece.t_start + piece.t_end)
-            check_support_margin(sample(piece.hamiltonian, grid, mid))
+            check_support_margin(ex.evaluate(piece.hamiltonian, pts, mid), grid)
     _emit(rep.to_json(), args.out)
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:

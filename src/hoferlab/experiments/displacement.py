@@ -62,8 +62,8 @@ def square_displacement(area: float, k_max: int = 5, eps: float = 0.004):
     """
     if area <= 0:
         raise ParameterOutOfRange("area", "area must be positive")
-    if k_max < 0:
-        raise ParameterOutOfRange("k_max", "k_max must be >= 0")
+    if not 0 <= k_max <= ex.MAX_DIFF_ORDER:
+        raise ParameterOutOfRange("k_max", f"k_max must be in [0, {ex.MAX_DIFF_ORDER}]")
     a = math.sqrt(area)
     v = a * (1.0 + eps)
     mu = 0.002 * a

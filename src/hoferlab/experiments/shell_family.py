@@ -170,9 +170,11 @@ def shell_decay_report(m_values, k: int, p: float, orders=None,
     """
     if p <= 0:
         raise ParameterOutOfRange("p", "p must be > 0")
-    if k < 0:
-        raise ParameterOutOfRange("k", "k must be >= 0")
+    if not 0 <= k <= ex.MAX_DIFF_ORDER:
+        raise ParameterOutOfRange("k", f"k must be in [0, {ex.MAX_DIFF_ORDER}]")
     orders = list(range(k + 1)) if orders is None else sorted(orders)
+    if not orders or not 0 <= orders[0] <= orders[-1] <= ex.MAX_DIFF_ORDER:
+        raise ParameterOutOfRange("orders", f"orders must be drawn from [0, {ex.MAX_DIFF_ORDER}]")
     m_values = tuple(int(m) for m in m_values)
     if len(set(m_values)) < 2:
         raise ParameterOutOfRange("m", "fitting a slope needs two distinct m values")

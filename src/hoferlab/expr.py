@@ -22,7 +22,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DomainError, ExprSyntaxError, GradientUnavailable, UnknownIdentifier
+from .errors import (DomainError, ExprSyntaxError, GradientUnavailable, ParameterOutOfRange,
+                     UnknownIdentifier)
 
 MAX_DIFF_ORDER = 8
 
@@ -459,20 +460,18 @@ def diff(e, name):
 
 
 def time_derivatives(e, k):
-    """[e, de/dt, ..., d^k e/dt^k], each entry differentiated from the one before."""
+    """[e, de/dt, ..., d^k e/dt^k], each entry differentiated from the one before.
+
+    ``k`` runs from 0 to ``MAX_DIFF_ORDER``. A chain grows fast with its order,
+    fastest on a cutoff whose argument moves with t, so the bound keeps one
+    call within memory and time.
+    """
+    if not 0 <= k <= MAX_DIFF_ORDER:
+        raise ParameterOutOfRange("k", f"k must be in [0, {MAX_DIFF_ORDER}]")
     out = [e]
     for _ in range(k):
         out.append(diff(out[-1], "t"))
     return out
-
-
-def diff_t(e, order=1):
-    """i-th time derivative; diff_t(e, 0) is e itself."""
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    if order > MAX_DIFF_ORDER:
-        raise ValueError(f"order {order} exceeds the maximum {MAX_DIFF_ORDER}")
-    return time_derivatives(e, order)[-1]
 
 
 # --- cutoff evaluation via truncated Taylor jets ---

@@ -127,8 +127,9 @@ def integrate(f: HamiltonianPath, cloud: TracerCloud, steps_per_piece: int = 256
     piece share their common subtrees (``expr.share_subtrees``), which are
     evaluated once per RK4 stage.
     """
-    if steps_per_piece < 1:
-        raise ParameterOutOfRange("steps_per_piece", "need at least 1 step per piece")
+    if steps_per_piece < 2:
+        # the error estimate needs a half-step run that differs from the run
+        raise ParameterOutOfRange("steps_per_piece", "need at least 2 steps per piece")
     pts0 = cloud.points
     dim = pts0.shape[1]
     if dim < f.dimension:
@@ -144,7 +145,7 @@ def integrate(f: HamiltonianPath, cloud: TracerCloud, steps_per_piece: int = 256
 
     steps = steps_per_piece
     final = run(steps)
-    half = run(max(steps // 2, 1))
+    half = run(steps // 2)
     while True:
         err = float(np.abs(final - half).max())
         if tol is None or err <= tol:

@@ -1,6 +1,7 @@
-"""Uniform grids on boxes in R^{2n} and flat tori, with the spatial norms
-used by the length functionals: oscillation (max - min), sup, and L_p with
-the Euclidean volume form.
+"""Uniform grids on boxes in R^{2n} and flat tori, and the spatial sizes
+that every length functional measures its samples with: the oscillation
+(max - min) and the L_p norm with the Euclidean volume form. Sizes take a
+bare array of samples at the grid points, in ``Grid.points`` order.
 
 Quadrature is the midpoint rule: box axes sample cell centers, torus axes
 sample j*h (every point is a cell center under periodicity). Box grids
@@ -16,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import expr as ex
 from .errors import GeometryError, SupportMarginWarning
 
 
@@ -102,50 +102,16 @@ class Grid:
         raise GeometryError(f"unknown geometry {spec['geometry']!r}")
 
 
-@dataclass(frozen=True)
-class Field:
-    values: np.ndarray
-    grid: Grid
-
-    def __post_init__(self):
-        n = int(np.prod(self.grid.resolution))
-        if self.values.shape != (n,):
-            raise ValueError(f"values must be flat of length {n}")
+def oscillation(values) -> float:
+    """max - min of the samples; the L_infty size of a normalized field."""
+    return float(values.max() - values.min())
 
 
-def sample(expression, grid, t):
-    """Evaluate an expression on every grid point at time t."""
-    n = int(np.prod(grid.resolution))
-    return Field(ex.eval_array(expression, ex.point_env(grid.points(), t), n), grid)
-
-
-def oscillation(f: Field) -> float:
-    """max - min over the sampled points; the L_infty size of a normalized field."""
-    v = f.values
-    return float(v.max() - v.min())
-
-
-def sup_norm(f: Field) -> float:
-    return float(np.abs(f.values).max())
-
-
-def lp_norm(f: Field, p: float) -> float:
+def lp_norm(values, p: float, cell_volume: float) -> float:
     """(sum |v|^p * cell_volume)^(1/p); a quasinorm for 0 < p < 1."""
     if p <= 0:
         raise ValueError("p must be > 0")
-    total = float(np.sum(np.abs(f.values) ** p)) * f.grid.cell_volume
-    return total ** (1.0 / p)
-
-
-def mean(f: Field) -> float:
-    return float(f.values.mean())
-
-
-def mean_zero_normalize(f: Field) -> Field:
-    """Subtract the volume-weighted mean; torus grids only."""
-    if f.grid.geometry != "torus":
-        raise GeometryError("mean-zero normalization is defined on torus grids")
-    return Field(f.values - f.values.mean(), f.grid)
+    return (float(np.sum(np.abs(values) ** p)) * cell_volume) ** (1.0 / p)
 
 
 def boundary_mask(grid: Grid) -> np.ndarray:
@@ -162,15 +128,15 @@ def boundary_mask(grid: Grid) -> np.ndarray:
     return mask.ravel()
 
 
-def check_support_margin(f: Field) -> bool:
-    """Warn (never fail) when a box field is not numerically supported inside:
-    its boundary layer reaches 1e-9 of its oscillation."""
-    if f.grid.geometry != "box":
+def check_support_margin(values, grid: Grid) -> bool:
+    """Warn (never fail) when samples on a box grid are not numerically
+    supported inside: their boundary layer reaches 1e-9 of their oscillation."""
+    if grid.geometry != "box":
         return True
-    osc = oscillation(f)
+    osc = oscillation(values)
     if osc == 0.0:
         return True
-    edge = np.abs(f.values[boundary_mask(f.grid)]).max()
+    edge = np.abs(values[boundary_mask(grid)]).max()
     if edge >= 1e-9 * osc:
         warnings.warn(
             f"field reaches {edge:.3e} on the boundary layer "
@@ -178,4 +144,3 @@ def check_support_margin(f: Field) -> bool:
             SupportMarginWarning, stacklevel=2)
         return False
     return True
-

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import expr as ex
 from .errors import GeometryError, NotMonotone, SupportOverlap
-from .grid import Grid
+from .grid import Grid, oscillation
 
 
 @dataclass(frozen=True)
@@ -382,8 +382,8 @@ def validate_disjoint_supports(paths, boxes, grid):
             continue
         for tq in np.linspace(0.0, 1.0, 5):
             h = f.hamiltonian_at(min(tq, 1.0 - 1e-12))
-            vals = ex.eval_array(h, ex.point_env(pts, tq), pts.shape[0])
-            scale = max(vals.max() - vals.min(), 1e-300)
+            vals = ex.evaluate(h, pts, tq)
+            scale = max(oscillation(vals), 1e-300)
             if np.abs(vals[outside]).max() > 1e-9 * scale:
                 raise SupportOverlap(
                     f"path support leaks outside its declared box at t={tq}")

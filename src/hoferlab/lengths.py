@@ -30,7 +30,7 @@ import numpy as np
 
 from . import expr as ex
 from .errors import ParameterOutOfRange
-from .grid import Grid
+from .grid import Grid, lp_norm, oscillation
 from .hampath import HamiltonianPath, TorusSymplecticPath
 
 UPPER_BOUND_NOTE = ("path length only: an upper bound for the infimum-over-paths "
@@ -86,19 +86,17 @@ def _time_rule(piece, time_samples):
 def _size_table(expressions, pts, times, size):
     """(times x expressions) table of ``size`` of each expression sampled on ``pts``.
 
-    Every length functional is a reduction of this table. The values come
-    from ``expr.eval_over_time`` in blocks of time nodes, so one block of at
-    most ``expr.TABLE_BLOCK`` values (or one (N,) row, when N is larger) is
-    alive per evaluation and per shared mixed subtree, plus one (N,) array per t-free subtree.
+    ``size`` maps one (N,) row of samples to a float; the spatial sizes are
+    ``grid.oscillation`` and ``grid.lp_norm``. Every length functional is a
+    reduction of this table. The values come from ``expr.eval_over_time`` in
+    blocks of time nodes, so one block of at most ``expr.TABLE_BLOCK`` values
+    (or one (N,) row, when N is larger) is alive per evaluation and per shared
+    mixed subtree, plus one (N,) array per t-free subtree.
     """
     table = np.empty((len(times), len(expressions)))
     for rows, i, vals in ex.eval_over_time(expressions, pts, times):
         table[rows, i] = [size(row) for row in vals]
     return table
-
-
-def _oscillation(vals):
-    return vals.max() - vals.min()
 
 
 def _time_integral(weights, sizes):
@@ -119,7 +117,7 @@ def _report(per_piece, combine, quadrature, kind):
 def length_k(f: HamiltonianPath, k: int, grid: Grid = None,
              time_samples: int = 10) -> LengthReport:
     """Sum_{i<=k} integral of osc_x(d^i H / dt^i) dt over each piece."""
-    return _integral_length(f, k, grid, time_samples, _derivative_sizes(_oscillation), "k")
+    return _integral_length(f, k, grid, time_samples, _derivative_sizes(oscillation), "k")
 
 
 def length_kp(f: HamiltonianPath, k: int, p: float, grid: Grid = None,
@@ -128,11 +126,8 @@ def length_kp(f: HamiltonianPath, k: int, p: float, grid: Grid = None,
     if p <= 0:
         raise ParameterOutOfRange("p", "p must be > 0")
     vol = (grid or f.domain).cell_volume
-
-    def lp(vals):
-        return (float(np.sum(np.abs(vals) ** p)) * vol) ** (1.0 / p)
-
-    return _integral_length(f, k, grid, time_samples, _derivative_sizes(lp), "kp", p=p)
+    return _integral_length(f, k, grid, time_samples,
+                            _derivative_sizes(lambda v: lp_norm(v, p, vol)), "kp", p=p)
 
 
 def check_sampling(k, time_samples):
@@ -157,7 +152,7 @@ def _torus_sizes(piece, k, pts, nodes):
     per_coeff = _size_table(coeffs, pts[:1], nodes, lambda v: abs(float(v[0])))
     per_coeff = per_coeff.reshape(len(nodes), len(piece.harmonic), k + 1)
     l1 = sum(per_coeff[:, j] for j in range(len(piece.harmonic)))
-    return l1 + _size_table(ex.time_derivatives(piece.exact, k), pts, nodes, _oscillation)
+    return l1 + _size_table(ex.time_derivatives(piece.exact, k), pts, nodes, oscillation)
 
 
 def _integral_length(f, k, grid, time_samples, piece_sizes, kind, **quad_extra):
@@ -207,7 +202,7 @@ def coarse_length_k(f: HamiltonianPath, k: int, grid: Grid = None,
         sel = lattice[(lattice >= piece.t_start) & (lattice <= piece.t_end)]
         ts = np.unique(np.concatenate([[piece.t_start], sel, [piece.t_end]]))
         sizes = _size_table(ex.time_derivatives(piece.hamiltonian, k), pts, ts,
-                            _oscillation)
+                            oscillation)
         per_piece.append(tuple(float(v) for v in sizes.max(axis=0)))
     return _report(per_piece, np.max,
                    {"time_samples": int(time_samples), "scheme": "closed-lattice-sup"},

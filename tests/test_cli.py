@@ -70,7 +70,9 @@ def test_length_kp_requires_p(tmp_path, capsys):
     assert run_cli("length", "--path", p, "--kind", "kp") == 2
     # out-of-range numbers are config errors naming the flag, not tracebacks
     for extra, flag in ((["--kind", "kp", "--p", "0"], "--p"), (["--k", "-1"], "--k"),
-                        (["--kind", "coarse", "--k", "-1"], "--k"),
+                        (["--kind", "coarse", "--k", "-1"], "--k"), (["--k", "9"], "--k"),
+                        (["--kind", "coarse", "--k", "9"], "--k"),
+                        (["--kind", "kp", "--p", "0.5", "--k", "9"], "--k"),
                         (["--time-samples", "3"], "--time-samples"),
                         (["--kind", "coarse", "--time-samples", "3"], "--time-samples")):
         capsys.readouterr()
@@ -102,6 +104,8 @@ def test_length_hl_kind(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli("length", "--path", p, "--kind", "hl", "--time-samples", "3") == 2
     assert "(at --time-samples)" in capsys.readouterr().err
+    assert run_cli("length", "--path", p, "--kind", "hl", "--k", "9") == 2
+    assert "(at --k)" in capsys.readouterr().err
     # a dimension-2 path naming x2 is a malformed file, not a failed check
     p = torus_path_json(tmp_path, exact="sin(6.283185307179586*x2)")
     assert run_cli("length", "--path", p, "--kind", "hl") == 2
@@ -147,8 +151,9 @@ def test_flow_subcommand(tmp_path, capsys):
     final = (tmp_path / "flow.final.csv").read_text()
     rows = final.strip().splitlines()[1:]
     assert float(rows[0].split(",")[1]) == pytest.approx(2.0, abs=1e-10)
-    # fewer than one step per piece is a config error, not a traceback or a no-op
-    for steps in ("0", "-4"):
+    # fewer than two steps per piece is a config error, not a traceback or a
+    # step-error estimate that compares a run with itself
+    for steps in ("1", "0", "-4"):
         capsys.readouterr()
         assert run_cli("flow", "--path", p, "--cloud", str(cloud), "--steps", steps) == 2
         assert "(at --steps)" in capsys.readouterr().err
@@ -206,6 +211,7 @@ def test_displace_and_shift(capsys):
     # out-of-range numbers are config errors naming the flag, not tracebacks
     for argv, flag in ((["displace", "--c", "-1"], "--c"),
                        (["displace", "--c", "1", "--k-max", "-1"], "--k-max"),
+                       (["displace", "--c", "1", "--k-max", "9"], "--k-max"),
                        (["shift", "--v", "-1", "--eps", "0.1"], "--v"),
                        (["shift", "--v", "1", "--eps", "0"], "--eps")):
         capsys.readouterr()
@@ -221,7 +227,10 @@ def test_gm_subcommand(tmp_path, capsys):
     assert os.path.exists(os.path.join(out_dir, "decay.dat"))
     for argv, flag in ((["--m", "0"], "--m"), (["--m", "2", "--p", "0"], "--p"),
                        (["--m", "abc"], "--m"), (["--m", "2", "--orders", "x"], "--orders"),
-                       (["--k", "-1"], "--k"), (["--m", "4"], "--m"), (["--m", "4,4"], "--m")):
+                       (["--k", "-1"], "--k"), (["--m", "4"], "--m"), (["--m", "4,4"], "--m"),
+                       (["--m", "4,8", "--k", "9"], "--k"),
+                       (["--m", "4,8", "--orders", "-1"], "--orders"),
+                       (["--m", "4,8", "--orders", "0,9"], "--orders")):
         capsys.readouterr()
         assert run_cli("gm", *argv) == 2
         assert f"(at {flag})" in capsys.readouterr().err
@@ -238,8 +247,9 @@ def test_commutator_subcommand(tmp_path, capsys):
                                "shift": [0.0, 0.0]}))
     assert run_cli("commutator", "--path", p, "--theta", str(bad)) == 2
     capsys.readouterr()
-    assert run_cli("commutator", "--path", p, "--theta", str(theta), "--k", "-1") == 2
-    assert "(at --k)" in capsys.readouterr().err
+    for k in ("-1", "9"):
+        assert run_cli("commutator", "--path", p, "--theta", str(theta), "--k", k) == 2
+        assert "(at --k)" in capsys.readouterr().err
 
 
 def test_flow_and_commutator_reject_torus_paths(tmp_path, capsys):
@@ -276,7 +286,7 @@ def test_disjoint_subcommand(tmp_path, capsys):
     f.write_text(json.dumps(cfg))
     assert run_cli("disjoint", "--config", str(f)) == 0
     capsys.readouterr()
-    for k in (-1, "one"):
+    for k in (-1, 9, "one"):
         f.write_text(json.dumps(dict(cfg, k=k)))
         assert run_cli("disjoint", "--config", str(f)) == 2
         assert "$.k" in capsys.readouterr().err

@@ -6,7 +6,8 @@ installed where the tests run, but an import of them would break a plain
 
 Inside the package each module imports only modules of earlier layers in
 ``LAYERS``, so paths (``hampath``) never depend on the functionals that
-measure them (``lengths``). The modules of the ``experiments`` subpackage
+measure them (``lengths``), and grids and their spatial sizes (``grid``)
+never depend on the expression DSL (``expr``). The modules of the ``experiments`` subpackage
 form one layer and may import each other.
 """
 
@@ -35,7 +36,7 @@ def test_package_imports_only_stdlib_and_numpy():
     assert not bad, bad
 
 
-LAYERS = ("errors", "expr", "grid", "hampath", "lengths", "flow", "snowflake", "corpus",
+LAYERS = ("errors", "grid", "expr", "hampath", "lengths", "flow", "snowflake", "corpus",
           "experiments", "verify", "cli")
 EXEMPT = ("__init__.py", "__main__.py")
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hoferlab import expr as E
-from hoferlab.errors import DomainError, ExprSyntaxError, UnknownIdentifier
+from hoferlab.errors import DomainError, ExprSyntaxError, ParameterOutOfRange, UnknownIdentifier
 
 
 def test_parse_product():
@@ -90,26 +90,29 @@ def test_roundtrip_property(tree):
 
 
 def test_diff_t_linear():
-    assert E.diff_t(E.parse("t*x1"), 1) == E.Var("x1")
-    assert E.diff_t(E.parse("x1"), 1) == E.Const(0.0)
+    assert E.time_derivatives(E.parse("t*x1"), 1)[-1] == E.Var("x1")
+    assert E.time_derivatives(E.parse("x1"), 1)[-1] == E.Const(0.0)
 
 
 def test_diff_t_order_zero_is_identity():
     e = E.parse("sin(t)*x1 + t^3")
-    assert E.diff_t(e, 0) is e
+    assert E.time_derivatives(e, 0) == [e]
+    assert E.time_derivatives(e, 2)[0] is e
 
 
 def test_diff_t_order_guard():
-    with pytest.raises(ValueError):
-        E.diff_t(E.parse("t"), 9)
-    with pytest.raises(ValueError):
-        E.diff_t(E.parse("t"), -1)
+    # the chain builder every functional uses refuses orders outside 0..MAX_DIFF_ORDER
+    assert len(E.time_derivatives(E.parse("t"), E.MAX_DIFF_ORDER)) == E.MAX_DIFF_ORDER + 1
+    for k in (E.MAX_DIFF_ORDER + 1, -1):
+        with pytest.raises(ParameterOutOfRange) as err:
+            E.time_derivatives(E.parse("t"), k)
+        assert err.value.name == "k"
 
 
 def test_diff_t_sin_second_derivative():
     # order-4 central stencil on the undifferentiated expression
     e = E.parse("sin(t)*x1")
-    d2 = E.diff_t(e, 2)
+    d2 = E.time_derivatives(e, 2)[-1]
     got = float(E.evaluate(d2, [(2.0, 0.0)], 0.3)[0])
     h = 1e-2
     f = lambda t: float(E.evaluate(e, [(2.0, 0.0)], t)[0])
@@ -128,7 +131,7 @@ def test_diff_t_sin_second_derivative():
 ])
 def test_diff_t_matches_finite_differences(src, order):
     e = E.parse(src)
-    d = E.diff_t(e, order)
+    d = E.time_derivatives(e, order)[-1]
     pt = [(0.7, -0.4)]
     for t0 in (0.05, 0.45, 0.62):
         h = 4e-3

@@ -8,7 +8,8 @@ import pytest
 from hoferlab import expr as E
 from hoferlab import flow as F
 from hoferlab import hampath as hp
-from hoferlab.errors import BlowUp, CloudMismatch, GradientUnavailable, StepErrorWarning
+from hoferlab.errors import (BlowUp, CloudMismatch, GradientUnavailable, ParameterOutOfRange,
+                             StepErrorWarning)
 from hoferlab.grid import Grid
 
 GRID = Grid.box([-4.0, -4.0], [4.0, 4.0], (8, 8))
@@ -148,6 +149,19 @@ def test_error_estimate_and_auto_doubling():
     fm = F.integrate(f, cloud, 16, tol=1e-10)
     assert fm.stats["steps_per_piece"] > 16
     assert fm.stats["max_step_error"] <= 1e-10
+
+
+def test_one_step_per_piece_is_out_of_range():
+    # a 1-step run has no distinct half-step run, so its error estimate
+    # would read 0 (the true error here is about 8e-3)
+    f = apath("(x1*x1 + y1*y1)/2")
+    cloud = F.TracerCloud(np.array([[1.0, 0.0]]))
+    for steps in (1, 0):
+        with pytest.raises(ParameterOutOfRange) as err:
+            F.integrate(f, cloud, steps, tol=1e-3)
+        assert err.value.name == "steps_per_piece"
+    fm = F.integrate(f, cloud, 2, tol=1e-3)
+    assert 0.0 < fm.stats["max_step_error"] <= 1e-3
 
 
 def test_doubling_reuses_the_previous_round(monkeypatch):

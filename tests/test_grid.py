@@ -1,4 +1,4 @@
-"""Grids, fields, and the spatial norms."""
+"""Grids and the spatial sizes of samples on them."""
 
 import numpy as np
 import pytest
@@ -6,17 +6,19 @@ from hypothesis import given, settings, strategies as st
 
 from hoferlab import expr as E
 from hoferlab import grid as G
-from hoferlab.errors import GeometryError
 
 
 def box(res=16, half=4.0):
     return G.Grid.box([-half, -half], [half, half], (res, res))
 
 
+def sample(src, g, t=0.0):
+    return E.evaluate(E.parse(src), g.points(), t)
+
+
 def test_constant_field_oscillation_zero():
     g = box()
-    f = G.sample(E.parse("3"), g, 0.0)
-    assert G.oscillation(f) == 0.0
+    assert G.oscillation(sample("3", g)) == 0.0
 
 
 def test_oscillation_linear_converges_to_analytic():
@@ -24,18 +26,16 @@ def test_oscillation_linear_converges_to_analytic():
     # underestimates by exactly one cell, vanishing under refinement
     vals = []
     for res in (16, 64, 256, 1024):
-        f = G.sample(E.parse("2*x1"), box(res), 0.0)
-        vals.append(G.oscillation(f))
+        vals.append(G.oscillation(sample("2*x1", box(res))))
         assert vals[-1] == pytest.approx(16.0 * (1 - 1.0 / res), rel=1e-12)
     assert vals[-1] == pytest.approx(16.0, rel=2e-3)
 
 
 def test_oscillation_translation_invariant():
     g = box()
-    f = G.sample(E.parse("sin(x1)*y1"), g, 0.0)
+    f = sample("sin(x1)*y1", g)
     # shifting the field cancels in max - min up to one rounding of the sums
-    shifted = G.Field(f.values + 17.25, g)
-    assert G.oscillation(shifted) == pytest.approx(G.oscillation(f), abs=1e-13)
+    assert G.oscillation(f + 17.25) == pytest.approx(G.oscillation(f), abs=1e-13)
 
 
 def test_shell_oscillation_against_1d_oracle():
@@ -47,29 +47,21 @@ def test_shell_oscillation_against_1d_oracle():
     profile = 2.0 * xs * E.step_values(xs - 1.0, 0.25, 0.75)
     oracle_max = profile.max()
     g = box(1200, 2.0)
-    osc = G.oscillation(G.sample(e, g, 0.0))
+    osc = G.oscillation(E.evaluate(e, g.points(), 0.0))
     assert 0.0 < osc <= 2 * 2.0 * (1 + 0.75)
     assert osc == pytest.approx(2.0 * oracle_max, rel=2e-3)
 
 
 def test_lp_norm_zero_field():
-    g = box()
-    assert G.lp_norm(G.Field(np.zeros(16 * 16), g), 0.5) == 0.0
-
-
-def test_sup_norm():
-    g = box()
-    f = G.sample(E.parse("2*x1"), g, 0.0)
-    assert G.sup_norm(f) == pytest.approx(8.0 * (1 - 1.0 / 16), rel=1e-12)
+    assert G.lp_norm(np.zeros(16 * 16), 0.5, box().cell_volume) == 0.0
 
 
 def test_lp_norm_indicator_closed_form():
     # plateau cutoff is exactly 1 on the inner box; measure the indicator part
     g = G.Grid.box([-2, -2], [2, 2], (256, 256))
-    e = E.parse("step(x1, 0.5, 0.6)*step(y1, 0.5, 0.6)")
-    f = G.sample(e, g, 0.0)
+    f = sample("step(x1, 0.5, 0.6)*step(y1, 0.5, 0.6)", g)
     for p in (0.5, 1.0, 2.0):
-        v = G.lp_norm(f, p)
+        v = G.lp_norm(f, p, g.cell_volume)
         # between the inner plateau (area 1) and the full support (area 1.44)
         assert 1.0 ** (1 / p) - 1e-6 <= v <= (1.2 ** 2) ** (1 / p) + 1e-6
 
@@ -80,30 +72,30 @@ def test_lp_norm_indicator_closed_form():
 def test_lp_norm_absolutely_homogeneous(p, lam):
     g = G.Grid.box([-1, -1], [1, 1], (8, 8))
     rng = np.random.default_rng(3)
-    f = G.Field(rng.normal(size=64), g)
-    scaled = G.Field(lam * f.values, g)
-    assert G.lp_norm(scaled, p) == pytest.approx(abs(lam) * G.lp_norm(f, p),
-                                                 rel=1e-12, abs=1e-12)
+    f = rng.normal(size=64)
+    vol = g.cell_volume
+    assert G.lp_norm(lam * f, p, vol) == pytest.approx(abs(lam) * G.lp_norm(f, p, vol),
+                                                       rel=1e-12, abs=1e-12)
 
 
 def test_lp_quasinorm_constant_p_half():
     # relaxed triangle constant 2^((1-p)/p) = 2 at p = 1/2
     g = G.Grid.box([-1, -1], [1, 1], (10, 10))
     rng = np.random.default_rng(11)
-    kp = 2.0
+    kp, vol = 2.0, g.cell_volume
     for _ in range(60):
-        a = G.Field(rng.normal(size=100), g)
-        b = G.Field(rng.normal(size=100), g)
-        lhs = G.lp_norm(G.Field(a.values + b.values, g), 0.5)
-        assert lhs <= kp * (G.lp_norm(a, 0.5) + G.lp_norm(b, 0.5)) + 1e-12
+        a = rng.normal(size=100)
+        b = rng.normal(size=100)
+        lhs = G.lp_norm(a + b, 0.5, vol)
+        assert lhs <= kp * (G.lp_norm(a, 0.5, vol) + G.lp_norm(b, 0.5, vol)) + 1e-12
 
 
 def test_lp_norm_refinement_second_order():
-    e = E.parse("exp(-x1^2 - y1^2)")
     errs = []
     ref = None
     for res in (8, 16, 32, 64, 512):
-        v = G.lp_norm(G.sample(e, box(res, 2.0), 0.0), 2.0)
+        g = box(res, 2.0)
+        v = G.lp_norm(sample("exp(-x1^2 - y1^2)", g), 2.0, g.cell_volume)
         if res == 512:
             ref = v
         else:
@@ -111,26 +103,6 @@ def test_lp_norm_refinement_second_order():
     diffs = [abs(v - ref) for v in errs]
     assert diffs[0] > diffs[1] > diffs[2]
     assert diffs[1] / diffs[0] == pytest.approx(0.25, abs=0.15)
-
-
-def test_mean_zero_examples():
-    g = G.Grid.torus([2.0, 2.0], (32, 32))
-    const = G.sample(E.parse("5"), g, 0.0)
-    out = G.mean_zero_normalize(const)
-    assert np.abs(out.values).max() == 0.0
-    wave = G.sample(E.parse("sin(3.141592653589793*x1)"), g, 0.0)
-    normalized = G.mean_zero_normalize(wave)
-    assert np.abs(normalized.values - wave.values).max() < 1e-12
-    rng = np.random.default_rng(5)
-    f = G.Field(rng.uniform(1.0, 3.0, 32 * 32), g)
-    z = G.mean_zero_normalize(f)
-    assert abs(G.mean(z)) < 1e-12 * max(G.oscillation(f), 1.0)
-
-
-def test_mean_zero_requires_torus():
-    f = G.sample(E.parse("x1"), box(), 0.0)
-    with pytest.raises(GeometryError):
-        G.mean_zero_normalize(f)
 
 
 def test_torus_points_exclude_duplicate_endpoint():
@@ -161,8 +133,9 @@ def test_grid_json_roundtrip():
 
 def test_support_margin_warning():
     g = box(16, 1.0)
-    leaky = G.sample(E.parse("x1"), g, 0.0)
     with pytest.warns(G.SupportMarginWarning):
-        G.check_support_margin(leaky)
-    bump = G.sample(E.parse("step(x1, 0.2, 0.4)*step(y1, 0.2, 0.4)"), g, 0.0)
-    assert G.check_support_margin(bump)
+        assert not G.check_support_margin(sample("x1", g), g)
+    assert G.check_support_margin(sample("step(x1, 0.2, 0.4)*step(y1, 0.2, 0.4)", g), g)
+    # torus samples have no boundary layer to check
+    torus = G.Grid.torus([1.0, 1.0], (8, 8))
+    assert G.check_support_margin(sample("x1", torus), torus)

@@ -39,7 +39,7 @@ def test_linear_time_closed_form():
     assert rep.per_order[1] == pytest.approx(1.0, rel=1e-12)
     assert rep.total == pytest.approx(1.5, rel=1e-12)
     # L_p sizes scale the same way: per-order (c/2, c), on one piece or two
-    c = G.lp_norm(G.sample(E.parse(BUMP), GRID, 0.0), 0.5)
+    c = G.lp_norm(E.evaluate(E.parse(BUMP), GRID.points(), 0.0), 0.5, GRID.cell_volume)
     split = path_of((0.0, 0.5, f"t*{BUMP}"), (0.5, 1.0, f"t*{BUMP}"))
     for g in (f, split):
         rep = L.length_kp(g, 1, 0.5, GRID, 10)
@@ -210,6 +210,29 @@ def test_length_kp_zero_and_separable():
     one_d = np.trapezoid(E.step_values(xs / 0.8, 0.5, 1.0) ** p, xs)
     expected = 0.5 * (one_d ** 2) ** (1.0 / p)    # integral of t over [0,1] = 1/2
     assert rep.total == pytest.approx(expected, rel=5e-3)
+
+
+def test_per_piece_rows_match_per_node_oracle():
+    # a plain loop over each piece's Gauss nodes that sizes one time
+    # derivative at one node at a time must give the same rows bit for bit
+    rng = np.random.default_rng(14)
+    k = 3
+    for _ in range(8):
+        f = corpus.random_path(rng)
+        pts, vol = f.domain.points(), f.domain.cell_volume
+        cases = [(G.oscillation, L.length_k(f, k, time_samples=10))]
+        cases += [(lambda v, p=p: G.lp_norm(v, p, vol), L.length_kp(f, k, p, time_samples=10))
+                  for p in (0.5, 2.0)]
+        for size, rep in cases:
+            rows = rep.per_piece
+            assert len(rows) == len(f.pieces)
+            for piece, row in zip(f.pieces, rows):
+                chain = E.time_derivatives(piece.hamiltonian, k)
+                nodes, weights = L.gauss_legendre_panels(piece.t_start, piece.t_end, 2)
+                want = np.zeros(k + 1)
+                for t, w in zip(nodes, weights):
+                    want += w * np.array([size(E.evaluate(d, pts, t)) for d in chain])
+                assert row == tuple(float(v) for v in want)
 
 
 def test_quadrature_convergence():
