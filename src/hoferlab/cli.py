@@ -21,6 +21,7 @@ JSON in, JSON/CSV/.dat out; no binary formats.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -52,8 +53,7 @@ def _emit(obj, out=None):
     text = json.dumps(obj, sort_keys=True, indent=2, default=_jsonable)
     print(text)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        _write(out, text + "\n")
 
 
 def _jsonable(v):
@@ -66,14 +66,27 @@ def _jsonable(v):
     raise TypeError(f"not JSON serializable: {type(v)}")
 
 
-def _load_json(path, what):
+def _read(path, what):
+    """Text of the file at ``path``, named by flag or key ``what``; only the CLI opens files."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return fh.read()
     except FileNotFoundError as err:
         raise ConfigInvalid(f"{what} file not found: {path}", what) from err
+    except UnicodeDecodeError as err:
+        raise ConfigInvalid(f"{what} file {path} is not UTF-8 text: {err}", what) from err
+
+
+def _write(path, text):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
+def _load_json(path, what):
+    try:
+        return json.loads(_read(path, what))
     except json.JSONDecodeError as err:
-        raise ConfigInvalid(f"{what} is not valid JSON: {err}", what) from err
+        raise ConfigInvalid(f"{what} file {path} is not valid JSON: {err}", what) from err
 
 
 def _from_spec(parse, spec, what, key_path):
@@ -144,8 +157,7 @@ def cmd_length(args):
             check_support_margin(ex.evaluate(piece.hamiltonian, pts, mid), grid)
     _emit(rep.to_json(), args.out)
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(rep.to_csv())
+        _write(args.csv, rep.to_csv())
     return EXIT_OK
 
 
@@ -154,7 +166,7 @@ def _length_report(args, path, grid):
         return ln.length_k(path, args.k, grid, args.time_samples)
     if args.kind == "coarse":
         # the user's value must meet the shared precondition before the floor applies
-        ln.check_sampling(args.k, args.time_samples)
+        ln.check_sampling(args.time_samples)
         return ln.coarse_length_k(path, args.k, grid, max(args.time_samples, 65))
     if args.kind == "kp":
         return ln.length_kp(path, args.k, args.p, grid, args.time_samples)
@@ -163,22 +175,15 @@ def _length_report(args, path, grid):
 
 def cmd_flow(args):
     path = _resolve_path_argument(args, HamiltonianPath.from_json)
-    try:
-        with open(args.cloud, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except FileNotFoundError as err:
-        raise ConfigInvalid(f"cloud file not found: {args.cloud}", "cloud") from err
-    cloud = _from_spec(fl.TracerCloud.from_csv, text, f"cloud file {args.cloud}", "cloud")
+    cloud = _from_spec(fl.TracerCloud.from_csv, _read(args.cloud, "cloud"),
+                       f"cloud file {args.cloud}", "cloud")
     fm = _in_range(lambda: fl.integrate(path, cloud, args.steps),
                    {"steps_per_piece": "--steps"}.get)
     if args.out_prefix:
-        with open(args.out_prefix + ".final.csv", "w", encoding="utf-8") as fh:
-            fh.write(fm.final.to_csv())
-        with open(args.out_prefix + ".initial.csv", "w", encoding="utf-8") as fh:
-            fh.write(fm.initial.to_csv())
-        with open(args.out_prefix + ".stats.json", "w", encoding="utf-8") as fh:
-            fh.write(fm.stats_json() + "\n")
-    _emit({"stats": fm.stats, "path_hash": fm.path_hash})
+        _write(args.out_prefix + ".final.csv", fm.final.to_csv())
+        _write(args.out_prefix + ".initial.csv", fm.initial.to_csv())
+        _write(args.out_prefix + ".stats.json", fm.stats_json() + "\n")
+    _emit({"stats": fm.stats, "path_hash": fm.path_hash}, args.out)
     return EXIT_OK
 
 
@@ -194,10 +199,8 @@ def cmd_gm(args):
     _emit(rep.to_json(), args.out)
     if args.out_dir:
         os.makedirs(args.out_dir, exist_ok=True)
-        with open(os.path.join(args.out_dir, "decay.csv"), "w", encoding="utf-8") as fh:
-            fh.write(rep.to_csv())
-        with open(os.path.join(args.out_dir, "decay.dat"), "w", encoding="utf-8") as fh:
-            fh.write(rep.to_dat())
+        _write(os.path.join(args.out_dir, "decay.csv"), rep.to_csv())
+        _write(os.path.join(args.out_dir, "decay.dat"), rep.to_dat())
     return EXIT_OK
 
 
@@ -232,24 +235,21 @@ def cmd_constants(args):
     else:
         print(ledger.format_table())
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(ledger.to_json(), fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        _write(args.out, json.dumps(ledger.to_json(), sort_keys=True, indent=2) + "\n")
     return EXIT_OK
 
 
 def cmd_disjoint(args):
     cfg = _load_json(args.config, "config")
-    for key in ("paths", "boxes", "k"):
-        if key not in cfg:
-            raise ConfigInvalid(f"missing key {key!r}", f"$.{key}")
-    if not cfg["paths"]:
+    specs, box_spec, k_spec = (_from_spec(lambda c: c[key], cfg, "config", f"$.{key}")
+                               for key in ("paths", "boxes", "k"))
+    if not isinstance(specs, list) or not specs:
         raise ConfigInvalid("'paths' must list at least one path", "$.paths")
     paths = [_from_spec(HamiltonianPath.from_json, p, "path spec", f"$.paths[{i}]")
-             for i, p in enumerate(cfg["paths"])]
+             for i, p in enumerate(specs)]
     _from_spec(common_domain, paths, "paths", "$.paths")
-    boxes = _from_spec(lambda b: box_corners(paths, b), cfg["boxes"], "boxes", "$.boxes")
-    k = _from_spec(int, cfg["k"], "k", "$.k")
+    boxes = _from_spec(lambda b: box_corners(paths, b), box_spec, "boxes", "$.boxes")
+    k = _from_spec(int, k_spec, "k", "$.k")
     rep = _in_range(lambda: disjoint_bound_check(paths, boxes, k), lambda name: f"$.{name}")
     _emit(rep.to_json(), args.out)
     return EXIT_OK if rep.ok() else EXIT_CHECK_FAILED
@@ -257,8 +257,8 @@ def cmd_disjoint(args):
 
 def cmd_snowflake(args):
     if os.path.exists(args.group):
-        group = _from_spec(sf.group_from_file, args.group, f"group file {args.group}",
-                           "group")
+        group = _from_spec(sf.WeightedGroup.from_json, _load_json(args.group, "group"),
+                           f"group file {args.group}", "group")
     else:
         group = _from_spec(sf.builtin_group, args.group, "group", "group")
     if args.weights:
@@ -300,9 +300,7 @@ def cmd_verify(args):
 
 def cmd_run(args):
     cfg = _load_json(args.config, "config")
-    if "command" not in cfg:
-        raise ConfigInvalid("missing key 'command'", "$.command")
-    command = cfg["command"]
+    command = _from_spec(lambda c: c["command"], cfg, "config", "$.command")
     if command not in SUBCOMMANDS or command == "run":
         raise ConfigInvalid(f"unknown command {command!r}", "$.command")
     params = cfg.get("params", {})
@@ -332,7 +330,10 @@ def build_parser():
     parser = argparse.ArgumentParser(
         prog="hoferlab",
         description="desk-scale laboratory for higher-order Hamiltonian path lengths")
-    sub = parser.add_subparsers(dest="command", required=True)
+    # flags must be spelled in full, so run's --out can never land on another flag
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        parser_class=functools.partial(argparse.ArgumentParser, allow_abbrev=False))
 
     p = sub.add_parser("length", help="length functionals of a path")
     p.add_argument("--path", default=None, help="path JSON file")
@@ -354,6 +355,7 @@ def build_parser():
     p.add_argument("--grid", default=None, help="grid JSON (with --hamiltonian)")
     p.add_argument("--cloud", required=True, help="tracer CSV file")
     p.add_argument("--steps", type=int, default=512)
+    p.add_argument("--out", default=None)
     p.add_argument("--out-prefix", default=None)
     p.set_defaults(func=cmd_flow)
 

@@ -31,8 +31,7 @@ def bump(rng, dim=2, max_center=1.0) -> ex.Expression:
     """Smooth compactly supported bump with randomized center/width/sign."""
     amp = rng.uniform(0.4, 2.5) * rng.choice([-1.0, 1.0])
     out = ex.const(amp)
-    for j in range(dim):
-        name = f"x{j // 2 + 1}" if j % 2 == 0 else f"y{j // 2 + 1}"
+    for name in ex.coordinates(dim):
         c = rng.uniform(-max_center, max_center)
         w = rng.uniform(0.4, 0.9)
         arg = ex.div(ex.sub(ex.Var(name), ex.const(c)), ex.const(w))
@@ -132,8 +131,7 @@ def random_torus_path(rng, grid: Grid = None, smooth=False) -> TorusSymplecticPa
                          ex.mul(ex.const(b), ex.call("sin", ex.mul(ex.const(freq), t))))
         harmonic.append(lam)
     waves = []
-    for j in range(dim):
-        name = f"x{j // 2 + 1}" if j % 2 == 0 else f"y{j // 2 + 1}"
+    for j, name in enumerate(ex.coordinates(dim)):
         freq = float(rng.integers(1, 3)) * 2.0 * np.pi / grid.upper[j]
         waves.append(ex.call("sin" if rng.random() < 0.5 else "cos",
                              ex.mul(ex.const(freq), ex.Var(name))))

@@ -357,12 +357,9 @@ class _Parser:
 
 
 def _const_value(e, offset):
+    # the parser folds constant arithmetic, so a numeric argument arrives as one Const
     if isinstance(e, Const):
         return e.value
-    if isinstance(e, Neg) and isinstance(e.arg, Const):
-        return -e.arg.value
-    if isinstance(e, Div) and isinstance(e.left, Const) and isinstance(e.right, Const):
-        return e.left.value / e.right.value
     raise ExprSyntaxError("cutoff parameters must be numeric constants", offset)
 
 
@@ -621,6 +618,11 @@ def eval_env(e, env):
     raise TypeError(f"unknown node {e!r}")
 
 
+def coordinates(dimension):
+    """The coordinate names of R^dimension in point order: x1, y1, ..., xn, yn."""
+    return [f"{'xy'[j % 2]}{j // 2 + 1}" for j in range(dimension)]
+
+
 def point_env(points, t):
     """Build an env from an (N, 2n) array of points ordered (x1, y1, ..., xn, yn)."""
     points = np.asarray(points, dtype=float)
@@ -630,9 +632,8 @@ def point_env(points, t):
     if dim % 2 != 0:
         raise ValueError("point arity must be even (x/y pairs)")
     env = {"t": float(t)}
-    for i in range(dim // 2):
-        env[f"x{i + 1}"] = points[:, 2 * i]
-        env[f"y{i + 1}"] = points[:, 2 * i + 1]
+    for j, name in enumerate(coordinates(dim)):
+        env[name] = points[:, j]
     return env
 
 

@@ -52,12 +52,8 @@ class TracerCloud:
         return TracerCloud(np.array(data))
 
     def to_csv(self):
-        dim = self.points.shape[1]
-        names = []
-        for i in range(dim // 2):
-            names += [f"x{i + 1}", f"y{i + 1}"]
         out = io.StringIO()
-        out.write(",".join(names) + "\n")
+        out.write(",".join(ex.coordinates(self.points.shape[1])) + "\n")
         for row in self.points:
             out.write(",".join(repr(float(c)) for c in row) + "\n")
         return out.getvalue()
@@ -80,10 +76,10 @@ class FlowMap:
 
 def _gradient_field(piece_hamiltonian, dimension):
     """Per-coordinate velocity expressions (-dH/dy_i, +dH/dx_i)."""
+    names = ex.coordinates(dimension)
     vel = []
-    for i in range(dimension // 2):
-        vel.append(ex.neg(ex.diff(piece_hamiltonian, f"y{i + 1}")))
-        vel.append(ex.diff(piece_hamiltonian, f"x{i + 1}"))
+    for x, y in zip(names[::2], names[1::2]):
+        vel += [ex.neg(ex.diff(piece_hamiltonian, y)), ex.diff(piece_hamiltonian, x)]
     return vel
 
 

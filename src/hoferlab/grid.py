@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GeometryError, SupportMarginWarning
+from .errors import GeometryError, ParameterOutOfRange, SupportMarginWarning
 
 
 @dataclass(frozen=True)
@@ -110,7 +110,7 @@ def oscillation(values) -> float:
 def lp_norm(values, p: float, cell_volume: float) -> float:
     """(sum |v|^p * cell_volume)^(1/p); a quasinorm for 0 < p < 1."""
     if p <= 0:
-        raise ValueError("p must be > 0")
+        raise ParameterOutOfRange("p", "p must be > 0")
     return (float(np.sum(np.abs(values) ** p)) * cell_volume) ** (1.0 / p)
 
 

@@ -198,10 +198,7 @@ class AffineSymplectic:
 
     def as_substitution(self):
         """Variable map realizing x -> self(x), i.e. x_j := (L x + b)_j."""
-        d = self.linear.shape[0]
-        names = []
-        for i in range(d // 2):
-            names += [f"x{i + 1}", f"y{i + 1}"]
+        names = ex.coordinates(self.linear.shape[0])
         mapping = {}
         for row, out_name in enumerate(names):
             acc = ex.const(self.shift[row])

@@ -123,17 +123,14 @@ def length_k(f: HamiltonianPath, k: int, grid: Grid = None,
 def length_kp(f: HamiltonianPath, k: int, p: float, grid: Grid = None,
               time_samples: int = 10) -> LengthReport:
     """Sum_{i<=k} integral of the spatial L_p norm of d^i H / dt^i."""
-    if p <= 0:
-        raise ParameterOutOfRange("p", "p must be > 0")
     vol = (grid or f.domain).cell_volume
     return _integral_length(f, k, grid, time_samples,
                             _derivative_sizes(lambda v: lp_norm(v, p, vol)), "kp", p=p)
 
 
-def check_sampling(k, time_samples):
-    """The precondition on ``k`` and ``time_samples`` that every length functional shares."""
-    if k < 0:
-        raise ParameterOutOfRange("k", "k must be >= 0")
+def check_sampling(time_samples):
+    """The precondition on ``time_samples`` that every length functional shares
+    (``expr.time_derivatives`` checks ``k`` before anything is evaluated)."""
     if time_samples < 8:
         raise ParameterOutOfRange("time_samples", "need at least 8 time samples")
 
@@ -157,7 +154,7 @@ def _torus_sizes(piece, k, pts, nodes):
 
 def _integral_length(f, k, grid, time_samples, piece_sizes, kind, **quad_extra):
     """Time integrals of the (nodes x orders) table ``piece_sizes(piece, k, pts, nodes)``."""
-    check_sampling(k, time_samples)
+    check_sampling(time_samples)
     grid = grid or f.domain
     pts = grid.points()
     per_piece = []
@@ -193,7 +190,7 @@ def coarse_length_k(f: HamiltonianPath, k: int, grid: Grid = None,
     evaluated from both adjacent pieces, so refining a division at a lattice
     point cannot change the result.
     """
-    check_sampling(k, time_samples)
+    check_sampling(time_samples)
     grid = grid or f.domain
     pts = grid.points()
     lattice = np.linspace(0.0, 1.0, time_samples)

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import json
 import math
 from dataclasses import dataclass
 
@@ -308,8 +307,3 @@ def builtin_group(name):
     if name.upper() == "D4":
         return dihedral_group(4)
     raise ValueError(f"unknown built-in group {name!r}")
-
-
-def group_from_file(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return WeightedGroup.from_json(json.load(fh))

@@ -215,7 +215,7 @@ def check_constants_anchors(seed=None):
 def _bump_path_in_box(rng, center, grid):
     amp = rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0])
     h = ex.const(amp)
-    for j, name in enumerate(("x1", "y1")):
+    for j, name in enumerate(ex.coordinates(grid.dimension)):
         arg = ex.div(ex.sub(ex.Var(name), ex.const(center[j])), ex.const(0.45))
         h = ex.mul(h, ex.step(arg, 0.5, 1.0))
     h = ex.mul(h, corpus.generic_profile(rng))

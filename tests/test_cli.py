@@ -141,6 +141,26 @@ def test_length_missing_file_is_config_error(tmp_path):
     assert run_cli("length", "--path", str(tmp_path / "nope.json")) == 2
 
 
+def test_unreadable_inputs_name_the_key_and_the_file(tmp_path, capsys):
+    p = path_json(tmp_path)
+    assert run_cli("flow", "--path", p, "--cloud", str(tmp_path / "nope.csv")) == 2
+    err = capsys.readouterr().err
+    assert "nope.csv" in err and "(at cloud)" in err
+    group = tmp_path / "g.json"
+    for content in (b"{not json", b"\xff\xfe"):
+        group.write_bytes(content)
+        assert run_cli("snowflake", "--group", str(group)) == 2
+        err = capsys.readouterr().err
+        assert "g.json" in err and "(at group)" in err
+
+
+def test_flags_must_be_spelled_in_full():
+    # no prefix reaches a flag: argparse would read --hamil as --hamiltonian
+    with pytest.raises(SystemExit) as exc:
+        main(["length", "--hamil", "x1"])
+    assert exc.value.code == 2
+
+
 def test_flow_subcommand(tmp_path, capsys):
     p = path_json(tmp_path, expr="2*x1")
     cloud = tmp_path / "cloud.csv"
@@ -292,7 +312,11 @@ def test_disjoint_subcommand(tmp_path, capsys):
         assert "$.k" in capsys.readouterr().err
     f.write_text(json.dumps({"k": 1}))
     assert run_cli("disjoint", "--config", str(f)) == 2
-    capsys.readouterr()
+    assert "(at $.paths)" in capsys.readouterr().err
+    for key in ("boxes", "k"):
+        f.write_text(json.dumps({name: v for name, v in cfg.items() if name != key}))
+        assert run_cli("disjoint", "--config", str(f)) == 2
+        assert f"(at $.{key})" in capsys.readouterr().err
     del cfg["paths"][1]["dimension"]
     f.write_text(json.dumps(cfg))
     assert run_cli("disjoint", "--config", str(f)) == 2
@@ -300,6 +324,10 @@ def test_disjoint_subcommand(tmp_path, capsys):
     f.write_text(json.dumps(dict(cfg, paths=[])))
     assert run_cli("disjoint", "--config", str(f)) == 2
     assert "$.paths" in capsys.readouterr().err
+    # a non-list is a config error, not a TypeError traceback
+    f.write_text(json.dumps(dict(cfg, paths=5)))
+    assert run_cli("disjoint", "--config", str(f)) == 2
+    assert "(at $.paths)" in capsys.readouterr().err
     # every path lives on the first path's domain: before, the second one was dropped
     far = {"dimension": 2,
            "pieces": [{"t0": 0.0, "t1": 1.0,
@@ -326,10 +354,26 @@ def test_run_config_dispatch(tmp_path, capsys):
     assert os.path.exists(tmp_path / "out" / "constants.json")
 
 
-def test_run_config_invalid(tmp_path):
+def test_run_config_flow_writes_its_out_file(tmp_path, capsys):
+    # run passes output_dir as --out, which flow must take itself, not as --out-prefix
+    cloud = tmp_path / "cloud.csv"
+    cloud.write_text("x1,y1\n0.0,0.0\n1.0,-1.0\n")
+    out = tmp_path / "out"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"command": "flow",
+                               "params": {"path": path_json(tmp_path, expr="2*x1"),
+                                          "cloud": str(cloud), "steps": 8},
+                               "output_dir": str(out)}))
+    assert run_cli("run", "--config", str(cfg)) == 0
+    assert os.listdir(out) == ["flow.json"]
+    assert (out / "flow.json").read_text() == capsys.readouterr().out
+
+
+def test_run_config_invalid(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"params": {}}))
     assert run_cli("run", "--config", str(cfg)) == 2
+    assert "(at $.command)" in capsys.readouterr().err
     cfg.write_text(json.dumps({"command": "nonsense"}))
     assert run_cli("run", "--config", str(cfg)) == 2
     cfg.write_text("{not json")

@@ -9,6 +9,8 @@ Inside the package each module imports only modules of earlier layers in
 measure them (``lengths``), and grids and their spatial sizes (``grid``)
 never depend on the expression DSL (``expr``). The modules of the ``experiments`` subpackage
 form one layer and may import each other.
+
+Only ``cli`` opens files: the library takes and returns text and objects.
 """
 
 import ast
@@ -68,4 +70,23 @@ def test_modules_import_only_earlier_layers():
                 continue
             if LAYERS.index(layer) >= LAYERS.index(own):
                 bad.append(f"{m.relative_to(PACKAGE)} imports {layer}")
+    assert not bad, bad
+
+
+def opened_files(tree):
+    """Line of every call of ``open`` in ``tree``, by name or as an attribute (``io.open``)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            f = node.func
+            if (isinstance(f, ast.Name) and f.id == "open"
+                    or isinstance(f, ast.Attribute) and f.attr == "open"):
+                yield node.lineno
+
+
+def test_only_the_cli_opens_files():
+    modules = [m for m in sorted(PACKAGE.rglob("*.py"))
+               if m.relative_to(PACKAGE).as_posix() != "cli.py"]
+    assert modules
+    bad = [f"{m.relative_to(PACKAGE)}:{line}" for m in modules
+           for line in opened_files(ast.parse(m.read_text(encoding="utf-8")))]
     assert not bad, bad

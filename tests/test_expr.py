@@ -43,6 +43,22 @@ def test_unary_binds_tighter_than_power():
     assert float(E.evaluate(e, [(3.0, 0.0)], 0.0)[0]) == 9.0
 
 
+@pytest.mark.parametrize("inner", ["1/4", "-(-1/4)", "(1)/(4)", "2^-2", "--0.25",
+                                   "1/8+1/8", "0.5*0.5", "0.25"])
+def test_cutoff_arguments_fold_to_one_constant(inner):
+    assert E.parse(f"step(x1, {inner}, 1)") == E.step(E.Var("x1"), 0.25, 1.0)
+
+
+def test_cutoff_arguments_must_be_constants():
+    with pytest.raises(ExprSyntaxError):
+        E.parse("step(x1, y1, 1)")
+
+
+def test_coordinates_interleave_x_and_y():
+    assert E.coordinates(4) == ["x1", "y1", "x2", "y2"]
+    assert list(E.point_env(np.arange(4.0).reshape(1, 4), 0.0)) == ["t", *E.coordinates(4)]
+
+
 @pytest.mark.parametrize("src", [
     "2*x1",
     "t*t*x1 + sin(t)",

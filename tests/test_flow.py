@@ -242,6 +242,12 @@ def test_cloud_csv_roundtrip():
     assert np.array_equal(back.points, cloud.points)
 
 
+def test_cloud_csv_header_names_the_coordinates():
+    cloud = F.TracerCloud(np.zeros((2, 4)))
+    header = cloud.to_csv().splitlines()[0].split(",")
+    assert header == E.coordinates(4) == ["x1", "y1", "x2", "y2"]
+
+
 def test_flow_stats_and_hash_stable():
     f = apath("2*x1")
     cloud = F.TracerCloud(np.array([[0.0, 0.0]]))

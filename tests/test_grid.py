@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from hoferlab import expr as E
 from hoferlab import grid as G
+from hoferlab.errors import ParameterOutOfRange
 
 
 def box(res=16, half=4.0):
@@ -54,6 +55,12 @@ def test_shell_oscillation_against_1d_oracle():
 
 def test_lp_norm_zero_field():
     assert G.lp_norm(np.zeros(16 * 16), 0.5, box().cell_volume) == 0.0
+
+
+def test_lp_norm_rejects_nonpositive_p():
+    with pytest.raises(ParameterOutOfRange) as err:
+        G.lp_norm(np.ones(4), 0, 1.0)
+    assert err.value.name == "p"
 
 
 def test_lp_norm_indicator_closed_form():

@@ -11,6 +11,7 @@ from hoferlab import expr as E
 from hoferlab import grid as G
 from hoferlab import hampath as hp
 from hoferlab import lengths as L
+from hoferlab.errors import ParameterOutOfRange
 from hoferlab.experiments import square_displacement
 from hoferlab.grid import Grid
 
@@ -255,6 +256,14 @@ def test_time_samples_precondition():
     f = path_of((0.0, 1.0, BUMP))
     with pytest.raises(ValueError):
         L.length_k(f, 1, GRID, 4)
+
+
+@pytest.mark.parametrize("functional", [L.length_k, L.coarse_length_k])
+def test_negative_order_is_out_of_range(functional):
+    # expr.time_derivatives is the one check on k
+    with pytest.raises(ParameterOutOfRange) as err:
+        functional(path_of((0.0, 1.0, BUMP)), -1)
+    assert err.value.name == "k"
 
 
 # --- torus split paths ---
