@@ -194,8 +194,8 @@ def _int_list(text):
 def cmd_gm(args):
     m_values = _from_spec(_int_list, args.m, "--m", "--m")
     orders = _from_spec(_int_list, args.orders, "--orders", "--orders") if args.orders else None
-    rep = _in_range(lambda: shell_decay_report(m_values, args.k, args.p, orders=orders,
-                                               closed_mode=args.closed), "--{}".format)
+    rep, = _in_range(lambda: shell_decay_report(m_values, [(args.k, args.p, orders)],
+                                                closed_mode=args.closed), "--{}".format)
     _emit(rep.to_json(), args.out)
     if args.out_dir:
         os.makedirs(args.out_dir, exist_ok=True)

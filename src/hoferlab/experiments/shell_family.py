@@ -16,9 +16,9 @@ disjoint shell so the family stays mean-zero.
 
 Spatial integrals use polar quadrature around the moving center: radial
 Gauss-Legendre panels no wider than 1/(8m) resolve the shell, uniform
-angular samples handle the smooth periodic direction. One call takes every
-derivative order at one t and evaluates the polar grid in blocks of whole
-radial rows of at most SHELL_BLOCK points. A block's temporaries then stay
+angular samples handle the smooth periodic direction. One call serves every
+(order, p) pair asked at one t and evaluates the polar grid once, in blocks
+of whole radial rows of at most SHELL_BLOCK points. Their temporaries stay
 below glibc's default 128 KiB trim threshold, so freeing them does not trim
 the heap, and the next block does not fault its pages back in; whole-grid
 arrays (160 KiB each) cost about half the check's time in minor faults.
@@ -83,23 +83,25 @@ def _radial_rule(spec: ShellFamilySpec, panels: int):
     return gauss_legendre_panels(lo, hi, panels)
 
 
-def shell_lp_norm(spec: ShellFamilySpec, expressions, p: float, t: float,
+def shell_lp_norm(spec: ShellFamilySpec, expressions, pairs, t: float,
                   radial_panels: int = 16, theta_samples: int = 256) -> list:
     """L_p norms of shell-supported expressions at time t, by polar quadrature.
 
-    Returns one norm per expression. The subtrees the expressions share are
-    evaluated once per block (``expr.share_subtrees``); a block is whole
-    radial rows of at most ``SHELL_BLOCK`` points (one row when a row is
-    longer), and each block fills its rows of every expression's integrand.
+    ``pairs`` lists (expression index, p); returns one norm per pair. The
+    subtrees the expressions share are evaluated once per block
+    (``expr.share_subtrees``); a block is whole radial rows of at most
+    ``SHELL_BLOCK`` points (one row when a row is longer). Per block, each
+    expression that a pair names is evaluated once, and its |v|^p fills the
+    block's rows of the integrand of each such pair.
     """
     rho, w_rho = _radial_rule(spec, radial_panels)
     theta = np.linspace(0.0, 2.0 * np.pi, theta_samples, endpoint=False)
     w_theta = 2.0 * np.pi / theta_samples
     cos_theta, sin_theta = np.cos(theta), np.sin(theta)
     assignments, rewritten = ex.share_subtrees(expressions)
-    integrands = np.empty((len(rewritten), len(rho), theta_samples))
+    integrands = np.empty((len(pairs), len(rho), theta_samples))
     rows = max(1, SHELL_BLOCK // theta_samples)
-    totals = [0.0] * len(rewritten)
+    totals = [0.0] * len(pairs)
     for cx in [0.0] + ([MIRROR_OFFSET] if spec.closed_mode else []):
         for start in range(0, len(rho), rows):
             R = rho[start:start + rows, None]
@@ -108,12 +110,14 @@ def shell_lp_norm(spec: ShellFamilySpec, expressions, p: float, t: float,
             env = {"x1": X.ravel(), "y1": Y.ravel(), "t": float(t)}
             for name, e, _ in assignments:
                 env[name] = ex.eval_env(e, env)
-            for e, integrand in zip(rewritten, integrands):
-                vals = ex.eval_array(e, env, X.size).reshape(X.shape)
-                np.multiply(np.abs(vals) ** p, R, out=integrand[start:start + rows])
-        for i, integrand in enumerate(integrands):
-            totals[i] += float(np.einsum("r,rt->", w_rho, integrand)) * w_theta
-    return [total ** (1.0 / p) for total in totals]
+            sizes = {}         # one expression's |v| at a time when pairs come sorted
+            for (i, p), integrand in zip(pairs, integrands):
+                if i not in sizes:
+                    sizes = {i: np.abs(ex.eval_array(rewritten[i], env, X.size)).reshape(X.shape)}
+                np.multiply(sizes[i] ** p, R, out=integrand[start:start + rows])
+        for n, integrand in enumerate(integrands):
+            totals[n] += float(np.einsum("r,rt->", w_rho, integrand)) * w_theta
+    return [total ** (1.0 / p) for total, (_, p) in zip(totals, pairs)]
 
 
 @dataclass(frozen=True)
@@ -158,55 +162,54 @@ class ShellDecayReport:
                 "expected_slopes": {str(i): v for i, v in self.expected_slopes.items()}}
 
 
-def shell_decay_report(m_values, k: int, p: float, orders=None,
-                       closed_mode: bool = False,
-                       theta_samples: int = 256) -> ShellDecayReport:
-    """Decay table and fitted log-log slopes for the shell family.
+def shell_decay_report(m_values, requests, closed_mode: bool = False,
+                       theta_samples: int = 256) -> list:
+    """Decay tables and fitted log-log slopes for the shell family, one per request.
 
-    For each m and derivative order i <= k, tabulates the max over sampled t
-    of the spatial L_p norm and its time integral; fits the slope of the max
-    norm against m; the full (k,p)-length of the path is the sum of the
-    per-order time integrals.
+    A request is (k, p, orders), orders None meaning 0..k. Per m and order i
+    a report tabulates the max over sampled t of the spatial L_p norm and its
+    time integral, fits the slope of the max norm against m, and sums the
+    integrals into the (k,p)-length. Requests share one derivative chain per
+    m and one ``shell_lp_norm`` pass per (m, t) over every (order, p) pair;
+    each report is bit for bit the report of its request alone.
     """
-    if p <= 0:
-        raise ParameterOutOfRange("p", "p must be > 0")
-    if not 0 <= k <= ex.MAX_DIFF_ORDER:
-        raise ParameterOutOfRange("k", f"k must be in [0, {ex.MAX_DIFF_ORDER}]")
-    orders = list(range(k + 1)) if orders is None else sorted(orders)
-    if not orders or not 0 <= orders[0] <= orders[-1] <= ex.MAX_DIFF_ORDER:
-        raise ParameterOutOfRange("orders", f"orders must be drawn from [0, {ex.MAX_DIFF_ORDER}]")
+    checked = []
+    for k, p, orders in requests:
+        if p <= 0:
+            raise ParameterOutOfRange("p", "p must be > 0")
+        if not 0 <= k <= ex.MAX_DIFF_ORDER:
+            raise ParameterOutOfRange("k", f"k must be in [0, {ex.MAX_DIFF_ORDER}]")
+        orders = list(range(k + 1)) if orders is None else sorted(orders)
+        if not orders or not 0 <= orders[0] <= orders[-1] <= ex.MAX_DIFF_ORDER:
+            raise ParameterOutOfRange("orders",
+                                      f"orders must be drawn from [0, {ex.MAX_DIFF_ORDER}]")
+        checked.append((k, p, orders))
     m_values = tuple(int(m) for m in m_values)
     if len(set(m_values)) < 2:
         raise ParameterOutOfRange("m", "fitting a slope needs two distinct m values")
-    max_norms = {i: [] for i in orders}
-    integrals = {i: [] for i in orders}
-    totals = []
+    pairs = sorted({(i, p) for _, p, orders in checked for i in orders})
     gl_t, gl_w = np.polynomial.legendre.leggauss(10)
     t_nodes = 0.5 + 0.5 * gl_t
     t_weights = 0.5 * gl_w
+    tables = []              # per m: (peak norms, node norms), each {(order, p): norm} per t
     for m in m_values:
         spec = ShellFamilySpec(m, closed_mode=closed_mode)
-        derivs = ex.time_derivatives(spec.hamiltonian(), max(orders))
-        norms_at = lambda t: shell_lp_norm(spec, [derivs[i] for i in orders], p, t,
-                                           theta_samples=theta_samples)
-        peaks = [norms_at(t) for t in (0.25, 0.5, 0.75)]
-        nodes = [norms_at(t) for t in t_nodes]
-        total = 0.0
-        for j, i in enumerate(orders):
-            max_norms[i].append(max(norms[j] for norms in peaks))
-            integral = float(sum(w * norms[j] for norms, w in zip(nodes, t_weights)))
-            integrals[i].append(integral)
-            total += integral
-        totals.append(total)
-    slopes = {}
-    expected = {}
+        derivs = ex.time_derivatives(spec.hamiltonian(), pairs[-1][0])
+        norms_at = lambda t: dict(zip(pairs, shell_lp_norm(spec, derivs, pairs, t,
+                                                           theta_samples=theta_samples)))
+        tables.append(([norms_at(t) for t in (0.25, 0.5, 0.75)],
+                       [norms_at(t) for t in t_nodes]))
     logs_m = np.log(np.array(m_values, dtype=float))
-    for i in orders:
-        logs_v = np.log(np.array(max_norms[i]))
-        dm = logs_m - logs_m.mean()
-        slopes[i] = float(np.dot(dm, logs_v - logs_v.mean()) / np.dot(dm, dm))
-        expected[i] = (i * p - 1.0) / p
-    return ShellDecayReport(m_values, p, k,
-                            {i: tuple(v) for i, v in max_norms.items()},
-                            {i: tuple(v) for i, v in integrals.items()},
-                            tuple(totals), slopes, expected)
+    dm = logs_m - logs_m.mean()
+    reports = []
+    for k, p, orders in checked:
+        max_norms = {i: tuple(max(norms[i, p] for norms in peaks) for peaks, _ in tables)
+                     for i in orders}
+        integrals = {i: tuple(float(sum(w * norms[i, p] for norms, w in zip(nodes, t_weights)))
+                              for _, nodes in tables) for i in orders}
+        totals = tuple(sum(integrals[i][j] for i in orders) for j in range(len(m_values)))
+        logs_v = {i: np.log(np.array(max_norms[i])) for i in orders}
+        slopes = {i: float(np.dot(dm, v - v.mean()) / np.dot(dm, dm)) for i, v in logs_v.items()}
+        reports.append(ShellDecayReport(m_values, p, k, max_norms, integrals, totals, slopes,
+                                        {i: (i * p - 1.0) / p for i in orders}))
+    return reports

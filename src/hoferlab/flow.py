@@ -47,8 +47,15 @@ class TracerCloud:
 
     @staticmethod
     def from_csv(text):
+        """Cloud from ``to_csv`` text: a header naming the coordinates in order, then rows."""
         rows = [ln for ln in text.strip().splitlines() if ln.strip()]
+        header = [name.strip() for name in rows[0].split(",")] if rows else []
+        if header != ex.coordinates(len(header)):
+            raise ValueError(f"header {rows[0]!r} does not read "
+                             f"{','.join(ex.coordinates(len(header)))}")
         data = [list(map(float, ln.split(","))) for ln in rows[1:]]
+        if any(len(row) != len(header) for row in data):
+            raise ValueError(f"every row needs {len(header)} values, one per header name")
         return TracerCloud(np.array(data))
 
     def to_csv(self):

@@ -123,7 +123,7 @@ def length_k(f: HamiltonianPath, k: int, grid: Grid = None,
 def length_kp(f: HamiltonianPath, k: int, p: float, grid: Grid = None,
               time_samples: int = 10) -> LengthReport:
     """Sum_{i<=k} integral of the spatial L_p norm of d^i H / dt^i."""
-    vol = (grid or f.domain).cell_volume
+    vol = _sampling_grid(f, grid).cell_volume
     return _integral_length(f, k, grid, time_samples,
                             _derivative_sizes(lambda v: lp_norm(v, p, vol)), "kp", p=p)
 
@@ -152,10 +152,19 @@ def _torus_sizes(piece, k, pts, nodes):
     return l1 + _size_table(ex.time_derivatives(piece.exact, k), pts, nodes, oscillation)
 
 
+def _sampling_grid(f, grid):
+    """``grid``, or the path's domain; a grid of another dimension or geometry is refused."""
+    shape = lambda g: f"{g.dimension}-dimensional {g.geometry}"
+    if grid is not None and shape(grid) != shape(f.domain):
+        raise ParameterOutOfRange("grid", f"grid is a {shape(grid)}, the path's domain a "
+                                  f"{shape(f.domain)}")
+    return grid or f.domain
+
+
 def _integral_length(f, k, grid, time_samples, piece_sizes, kind, **quad_extra):
     """Time integrals of the (nodes x orders) table ``piece_sizes(piece, k, pts, nodes)``."""
     check_sampling(time_samples)
-    grid = grid or f.domain
+    grid = _sampling_grid(f, grid)
     pts = grid.points()
     per_piece = []
     for piece in f.pieces:
@@ -191,7 +200,7 @@ def coarse_length_k(f: HamiltonianPath, k: int, grid: Grid = None,
     point cannot change the result.
     """
     check_sampling(time_samples)
-    grid = grid or f.domain
+    grid = _sampling_grid(f, grid)
     pts = grid.points()
     lattice = np.linspace(0.0, 1.0, time_samples)
     per_piece = []

@@ -25,21 +25,44 @@ ALL_SUITE = CORE_SUITE + ("square_displacement", "shell_decay", "half_space_shif
                           "commutator")
 
 
+class SuiteSeed(int):
+    """A seed carrying what its suite's checks share; ``run_suite`` makes one per run.
+
+    ``lengths`` maps (seed, count, k, path index) to the per-order floats of
+    ``length_k`` of a corpus path. A check given a plain int shares nothing.
+    """
+
+    def __new__(cls, seed):
+        obj = super().__new__(cls, seed)
+        obj.lengths = {}
+        return obj
+
+
 def _corpus_paths(seed, count=50):
     rng = np.random.default_rng(seed)
     return [corpus.random_path(rng) for _ in range(count)]
 
 
+def _corpus_lengths(seed, paths, k):
+    """Per-order ``length_k(f, k, time_samples=10)`` of each corpus path, once per suite."""
+    shared = getattr(seed, "lengths", {})
+    out = []
+    for j, f in enumerate(paths):
+        key = (int(seed), len(paths), k, j)
+        if key not in shared:
+            shared[key] = ln.length_k(f, k, time_samples=10).per_order
+        out.append(shared[key])
+    return out
+
+
 def check_path_algebra_reverse(seed, count=50, k=3):
     paths = _corpus_paths(seed, count)
     worst = 0.0
-    for f in paths:
-        a = ln.length_k(f, k, time_samples=10)
-        b = ln.length_k(hp.reverse(f), k, time_samples=10)
+    for f, a in zip(paths, _corpus_lengths(seed, paths, k)):
+        b = ln.length_k(hp.reverse(f), k, time_samples=10).per_order
         # per-order equality gives equality of every partial length k' <= k
         for i in range(k + 1):
-            worst = max(worst, abs(a.per_order[i] - b.per_order[i])
-                        / max(a.per_order[i], 1e-300))
+            worst = max(worst, abs(a[i] - b[i]) / max(a[i], 1e-300))
     return {"name": "path_algebra_reverse", "passed": worst <= 1e-9,
             "measured": {"max_rel_dev": worst, "paths": count, "k": k},
             "tolerance": 1e-9}
@@ -47,15 +70,13 @@ def check_path_algebra_reverse(seed, count=50, k=3):
 
 def check_path_algebra_concat(seed, count=50, k=3):
     paths = _corpus_paths(seed, count)
+    lengths = _corpus_lengths(seed, paths, k)
     worst = 0.0
-    for f, g in zip(paths[::2], paths[1::2]):
-        c = hp.concatenate(f, g)
-        rc = ln.length_k(c, k, time_samples=10)
-        rf = ln.length_k(f, k, time_samples=10)
-        rg = ln.length_k(g, k, time_samples=10)
+    for f, g, rf, rg in zip(paths[::2], paths[1::2], lengths[::2], lengths[1::2]):
+        rc = ln.length_k(hp.concatenate(f, g), k, time_samples=10).per_order
         for i in range(k + 1):
-            want = 2.0 ** i * (rf.per_order[i] + rg.per_order[i])
-            worst = max(worst, abs(rc.per_order[i] - want) / max(want, 1e-300))
+            want = 2.0 ** i * (rf[i] + rg[i])
+            worst = max(worst, abs(rc[i] - want) / max(want, 1e-300))
     return {"name": "path_algebra_concat", "passed": worst <= 1e-9,
             "measured": {"max_rel_dev": worst, "pairs": count // 2, "k": k},
             "tolerance": 1e-9}
@@ -76,11 +97,8 @@ def check_path_algebra_reparam(seed, count=50):
 
 
 def check_monotonicity(seed, count=50, k=3):
-    paths = _corpus_paths(seed, count)
-    min_term = np.inf
-    for f in paths:
-        rep = ln.length_k(f, k, time_samples=10)
-        min_term = min(min_term, min(rep.per_order))
+    lengths = _corpus_lengths(seed, _corpus_paths(seed, count), k)
+    min_term = min(min(per_order) for per_order in lengths)
     return {"name": "monotonicity", "passed": bool(min_term >= 0.0),
             "measured": {"min_per_order_term": float(min_term)}, "tolerance": 0.0}
 
@@ -330,8 +348,10 @@ def check_square_displacement(seed=None):
 def check_shell_decay(seed=None):
     rows = {}
     ok = True
-    for (k, p, i) in ((1, 0.5, 1), (2, 1.0 / 3.0, 2), (0, 0.5, 0)):
-        rep = shell_decay_report([4, 8, 16, 32, 64], k, p)
+    cases = ((1, 0.5, 1), (2, 1.0 / 3.0, 2), (0, 0.5, 0))
+    *reps, control = shell_decay_report([4, 8, 16, 32, 64], [(k, p, None) for k, p, _ in cases]
+                                        + [(2, 1.0, [2])])
+    for (k, p, i), rep in zip(cases, reps):
         dev = abs(rep.slopes[i] - rep.expected_slopes[i])
         decreasing = all(a > b for a, b in zip(rep.totals, rep.totals[1:]))
         tail = rep.totals[-1] < 0.1 * rep.totals[0]
@@ -340,7 +360,6 @@ def check_shell_decay(seed=None):
             "slope_dev": dev, "totals_decreasing": decreasing,
             "tail_ratio": rep.totals[-1] / rep.totals[0]}
         ok = ok and dev <= 0.15 and decreasing and tail
-    control = shell_decay_report([4, 8, 16, 32, 64], 2, 1.0, orders=[2])
     rows["control_i2_p1"] = {"slope": control.slopes[2]}
     ok = ok and control.slopes[2] >= 0.0
     return {"name": "shell_decay", "passed": bool(ok), "measured": rows,
@@ -425,7 +444,8 @@ CHECKS = {
 
 def run_suite(suite="core", seed=42):
     names = CORE_SUITE if suite == "core" else ALL_SUITE
-    results = [CHECKS[name](seed) for name in names]
+    shared = SuiteSeed(seed)
+    results = [CHECKS[name](shared) for name in names]
     return {
         "suite": suite,
         "seed": seed,

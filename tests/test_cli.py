@@ -137,6 +137,29 @@ def test_length_hamiltonian_string(tmp_path, capsys):
         assert "(at hamiltonian)" in err and "beyond the declared dimension" in err
 
 
+def test_length_grid_must_match_the_path_domain(tmp_path, capsys):
+    # another box of the path's dimension samples the same path; another
+    # dimension or geometry is a config error naming --grid
+    box, torus = path_json(tmp_path), torus_path_json(tmp_path)
+    grids = {"wide": {"dim": 2, "geometry": "box", "bounds": [[-3.0, -3.0], [3.0, 3.0]],
+                      "resolution": [24, 24]},
+             "dim4": {"dim": 4, "geometry": "box", "bounds": [[-2.0] * 4, [2.0] * 4],
+                      "resolution": [4, 4, 4, 4]},
+             "torus": {"dim": 2, "geometry": "torus", "periods": [1.0, 1.0],
+                       "resolution": [8, 8]}}
+    files = {name: tmp_path / f"grid-{name}.json" for name in grids}
+    for name, spec in grids.items():
+        files[name].write_text(json.dumps(spec))
+    assert run_cli("length", "--path", box, "--grid", str(files["wide"])) == 0
+    for path, grid, kinds in ((box, "dim4", ("k", "coarse", "kp")), (box, "torus", ("k",)),
+                              (torus, "dim4", ("hl",)), (torus, "wide", ("hl",))):
+        for kind in kinds:
+            capsys.readouterr()
+            assert run_cli("length", "--path", path, "--grid", str(files[grid]),
+                           "--kind", kind, "--p", "0.5") == 2
+            assert "(at --grid)" in capsys.readouterr().err
+
+
 def test_length_missing_file_is_config_error(tmp_path):
     assert run_cli("length", "--path", str(tmp_path / "nope.json")) == 2
 
@@ -180,6 +203,12 @@ def test_flow_subcommand(tmp_path, capsys):
     cloud.write_text("x1,y1\n0.0,abc\n")
     assert run_cli("flow", "--path", p, "--cloud", str(cloud)) == 2
     assert "cloud.csv" in capsys.readouterr().err
+    # a header that does not name the coordinates in order, or no header at all
+    for text in ("y1,x1\n0.0,1.0\n", "1.0,2.0\n3.0,4.0\n"):
+        cloud.write_text(text)
+        assert run_cli("flow", "--path", p, "--cloud", str(cloud)) == 2
+        err = capsys.readouterr().err
+        assert "cloud.csv" in err and "(at cloud)" in err
 
 
 def test_snowflake_subcommand(tmp_path, capsys):

@@ -89,3 +89,34 @@ def test_summary_bytes_stable_shape():
     payload = verify.summary_bytes(summary)
     assert payload.endswith(b"\n")
     assert b"all_passed" in payload
+
+
+def test_run_suite_shares_values_without_changing_a_check(monkeypatch):
+    # each check alone, as perfbench times it through ``verify.CHECKS``
+    alone = {name: verify.CHECKS[name](42) for name in verify.CORE_SUITE}
+    calls = []
+
+    def recording(name, check):
+        def run(seed):                 # forwards exactly one positional argument
+            calls.append(name)
+            return check(seed)
+        return run
+
+    for name, check in list(verify.CHECKS.items()):
+        monkeypatch.setitem(verify.CHECKS, name, recording(name, check))
+    verify.run_suite("core", 7)
+    calls.clear()
+    summary = verify.run_suite("core", 42)
+    assert calls == list(verify.CORE_SUITE)
+    assert summary["checks"] == [alone[name] for name in verify.CORE_SUITE]
+    # one store across two seeds and two orders still gives each check its own values
+    first = verify.SuiteSeed(7)
+    verify.check_monotonicity(first, count=6, k=2)
+    shared = verify.SuiteSeed(42)
+    shared.lengths = first.lengths
+    for k in (2, 3):
+        for check in (verify.check_monotonicity, verify.check_path_algebra_reverse,
+                      verify.check_path_algebra_concat):
+            assert check(shared, count=6, k=k) == check(42, count=6, k=k)
+    assert all(isinstance(v, float) for per_order in shared.lengths.values()
+               for v in per_order)

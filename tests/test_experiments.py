@@ -64,7 +64,7 @@ def test_shell_support_is_exactly_the_shell():
 def test_shell_norm_time_invariant():
     spec = ShellFamilySpec(4)
     d1 = E.diff(spec.hamiltonian(), "t")
-    vals = [shell_lp_norm(spec, [d1], 0.5, t)[0] for t in (0.1, 0.5, 0.9)]
+    vals = [shell_lp_norm(spec, [d1], [(0, 0.5)], t)[0] for t in (0.1, 0.5, 0.9)]
     assert max(vals) - min(vals) < 1e-9 * max(vals)
 
 
@@ -100,23 +100,23 @@ def test_shell_norm_blocks_match_unblocked(closed, theta_samples, block, monkeyp
         (t + 0.3) ** 3,                                       # t alone: a scalar
         E.const(1.5),
         E.call("sin", x1) * E.call("exp", -(E.Var("y1") - 1.0) ** 2)]
+    # one pass serves every (expression, p) pair, in any order
+    pairs = [(i, p) for p in (0.5, 1.0 / 3.0, 2.0) for i in reversed(range(len(exprs)))]
     for time in (0.25, 0.6):
-        for p in (0.5, 1.0 / 3.0, 2.0):
-            got = shell_lp_norm(spec, exprs, p, time, theta_samples=theta_samples)
-            want = [unblocked_shell_lp_norm(spec, e, p, time, theta_samples=theta_samples)
-                    for e in exprs]
-            assert got == want
+        got = shell_lp_norm(spec, exprs, pairs, time, theta_samples=theta_samples)
+        want = [unblocked_shell_lp_norm(spec, exprs[i], p, time, theta_samples=theta_samples)
+                for i, p in pairs]
+        assert got == want
 
 
 def test_shell_unresolved_guard():
     spec = ShellFamilySpec(16)
     with pytest.raises(ShellUnresolved):
-        shell_lp_norm(spec, [spec.hamiltonian()], 0.5, 0.5, radial_panels=4)
+        shell_lp_norm(spec, [spec.hamiltonian()], [(0, 0.5)], 0.5, radial_panels=4)
 
 
 def test_shell_decay_quick_slopes():
-    rep = shell_decay_report([4, 8, 16], 1, 0.5, orders=[0, 1],
-                             theta_samples=128)
+    rep, = shell_decay_report([4, 8, 16], [(1, 0.5, [0, 1])], theta_samples=128)
     assert abs(rep.slopes[0] - (-2.0)) < 0.2
     assert abs(rep.slopes[1] - (-1.0)) < 0.2
     assert rep.to_csv().startswith("m,")
@@ -125,13 +125,30 @@ def test_shell_decay_quick_slopes():
 
 
 def test_shell_closed_mode_doubles_p_power():
-    a = shell_decay_report([8, 16], 1, 0.5, orders=[1], theta_samples=128)
-    b = shell_decay_report([8, 16], 1, 0.5, orders=[1], theta_samples=128,
-                           closed_mode=True)
+    a, = shell_decay_report([8, 16], [(1, 0.5, [1])], theta_samples=128)
+    b, = shell_decay_report([8, 16], [(1, 0.5, [1])], theta_samples=128,
+                            closed_mode=True)
     for j in range(2):
         ratio = b.max_norms[1][j] / a.max_norms[1][j]
         assert ratio == pytest.approx(2.0 ** (1 / 0.5), rel=1e-9)
     assert abs(b.slopes[1] - a.slopes[1]) < 1e-9
+
+
+@pytest.mark.parametrize("closed", [False, True])
+def test_shell_requests_share_one_pass(closed, monkeypatch):
+    requests = [(1, 0.5, None), (2, 1.0 / 3.0, None), (0, 0.5, None), (2, 1.0, [2])]
+    alone = [shell_decay_report([2, 4], [r], closed_mode=closed, theta_samples=128)[0]
+             for r in requests]
+    chains, passes = [], []
+    counted = lambda fn, log: lambda *a, **kw: log.append(1) or fn(*a, **kw)
+    monkeypatch.setattr(E, "time_derivatives", counted(E.time_derivatives, chains))
+    monkeypatch.setattr(shell_family, "shell_lp_norm", counted(shell_lp_norm, passes))
+    together = shell_decay_report([2, 4], requests, closed_mode=closed, theta_samples=128)
+    # one chain per m, one polar pass per (m, t): 3 peak times and 10 Gauss nodes
+    assert len(chains) == 2 and len(passes) == 2 * 13
+    for rep, want in zip(together, alone):
+        assert rep.to_json() == want.to_json()
+        assert rep.to_csv() == want.to_csv()
 
 
 def test_shell_path_displaces_unit_disc():

@@ -242,6 +242,24 @@ def test_cloud_csv_roundtrip():
     assert np.array_equal(back.points, cloud.points)
 
 
+@pytest.mark.parametrize("dimension", [2, 4, 6])
+def test_cloud_csv_roundtrip_is_exact(dimension):
+    points = np.random.default_rng(dimension).normal(scale=1e3, size=(17, dimension))
+    points[0, 0] = 5e-324
+    text = F.TracerCloud(points).to_csv()
+    back = F.TracerCloud.from_csv(text)
+    assert np.array_equal(back.points, points) and back.to_csv() == text
+
+
+@pytest.mark.parametrize("text", ["1.0,2.0\n3.0,4.0\n", "y1,x1\n1.0,2.0\n",
+                                  "x1,y1,x2\n1.0,2.0,3.0\n", "x1,y1\n1.0,2.0,3.0,4.0\n",
+                                  "x1,y1\n1.0,2.0\n3.0\n", ""],
+                         ids=["no-header", "swapped", "odd", "wide-row", "short-row", "empty"])
+def test_cloud_csv_rejects_a_header_or_row_that_does_not_fit(text):
+    with pytest.raises(ValueError):
+        F.TracerCloud.from_csv(text)
+
+
 def test_cloud_csv_header_names_the_coordinates():
     cloud = F.TracerCloud(np.zeros((2, 4)))
     header = cloud.to_csv().splitlines()[0].split(",")

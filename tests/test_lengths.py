@@ -385,3 +385,23 @@ def test_torus_json_roundtrip():
     phi = torus_path(("1", "sin(6.283185307179586*t)"), "cos(6.283185307179586*x1)")
     back = hp.TorusSymplecticPath.from_json(phi.to_json())
     assert back == phi
+
+
+def test_functionals_refuse_a_grid_of_another_shape():
+    f = path_of((0.0, 1.0, f"t*{BUMP}"))
+    phi = corpus.random_torus_path(np.random.default_rng(3))
+    box4 = Grid.box([-2.0] * 4, [2.0] * 4, 4)
+    torus2 = Grid.torus([1.0, 1.0], 8)
+    calls = [lambda g: L.length_k(f, 1, g), lambda g: L.coarse_length_k(f, 1, g),
+             lambda g: L.length_kp(f, 1, 0.5, g)]
+    for measure in calls:
+        for grid in (box4, torus2):
+            with pytest.raises(ParameterOutOfRange) as err:
+                measure(grid)
+            assert err.value.name == "grid"
+        # another box of the path's dimension is a finer or wider sampling of the same path
+        assert measure(Grid.box([-3.0, -3.0], [3.0, 3.0], 30)).total > 0.0
+    for grid in (GRID, Grid.torus([1.0, 1.0, 1.0, 1.0], 4)):
+        with pytest.raises(ParameterOutOfRange) as err:
+            L.hofer_like_length_k(phi, 1, grid)
+        assert err.value.name == "grid"
