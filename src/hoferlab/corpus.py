@@ -25,14 +25,16 @@ from .hampath import HamiltonianPath, Piece, TorusPiece, TorusSymplecticPath
 
 BOX_HALF = 2.0
 DEFAULT_GRID = Grid.box([-BOX_HALF, -BOX_HALF], [BOX_HALF, BOX_HALF], (20, 20))
+MAX_CENTER = 1.0          # bump centres lie in [-MAX_CENTER, MAX_CENTER] per coordinate
+TWO_SPEED_LAMBDA = 0.7    # two_speed_time_change maps [0, TWO_SPEED_LAMBDA] onto [0, 1/2]
 
 
-def bump(rng, dim=2, max_center=1.0) -> ex.Expression:
-    """Smooth compactly supported bump with randomized center/width/sign."""
+def bump(rng) -> ex.Expression:
+    """Smooth compactly supported bump in DEFAULT_GRID's plane; random center/width/sign."""
     amp = rng.uniform(0.4, 2.5) * rng.choice([-1.0, 1.0])
     out = ex.const(amp)
-    for name in ex.coordinates(dim):
-        c = rng.uniform(-max_center, max_center)
+    for name in ex.coordinates(DEFAULT_GRID.dimension):
+        c = rng.uniform(-MAX_CENTER, MAX_CENTER)
         w = rng.uniform(0.4, 0.9)
         arg = ex.div(ex.sub(ex.Var(name), ex.const(c)), ex.const(w))
         out = ex.mul(out, ex.step(arg, 0.5, 1.0))
@@ -68,23 +70,22 @@ def _breakpoints(rng, n_pieces):
     return [0.0] + [float(c) for c in cuts] + [1.0]
 
 
-def random_path(rng, smooth=False, dim=2, grid: Grid = None) -> HamiltonianPath:
-    """Random piecewise path; ``smooth`` selects the positive-profile flavor."""
-    grid = grid or DEFAULT_GRID
+def random_path(rng, smooth=False) -> HamiltonianPath:
+    """Random piecewise path on DEFAULT_GRID; ``smooth`` selects the positive-profile flavor."""
     n_pieces = int(rng.integers(1, 4))
     bps = _breakpoints(rng, n_pieces)
     pieces = []
     for a, b in zip(bps, bps[1:]):
         if smooth:
-            spatial = bump(rng, dim)
-            second = bump(rng, dim)
+            spatial = bump(rng)
+            second = bump(rng)
             h = ex.mul(positive_profile(rng), ex.add(spatial, second))
         else:
-            h = ex.mul(generic_profile(rng), bump(rng, dim))
+            h = ex.mul(generic_profile(rng), bump(rng))
             if rng.random() < 0.5:
-                h = ex.add(h, ex.mul(generic_profile(rng), bump(rng, dim)))
+                h = ex.add(h, ex.mul(generic_profile(rng), bump(rng)))
         pieces.append(Piece(a, b, h))
-    return HamiltonianPath(tuple(pieces), dim, grid)
+    return HamiltonianPath(tuple(pieces), DEFAULT_GRID.dimension, DEFAULT_GRID)
 
 
 def random_time_change(rng) -> ex.Expression:
@@ -95,8 +96,9 @@ def random_time_change(rng) -> ex.Expression:
                             ex.call("sin", ex.mul(ex.const(2.0 * np.pi), t))))
 
 
-def two_speed_time_change(lam=0.7):
-    """Piecewise-linear s: speed lam doubles the pace of the first half."""
+def two_speed_time_change():
+    """Piecewise-linear s: s(TWO_SPEED_LAMBDA) = 1/2, linear on either side."""
+    lam = TWO_SPEED_LAMBDA
     t = ex.Var("t")
     first = ex.mul(ex.const(0.5 / lam), t)
     second = ex.add(ex.const(0.5), ex.mul(ex.const(0.5 / (1.0 - lam)),
@@ -107,16 +109,15 @@ def two_speed_time_change(lam=0.7):
 TORUS_GRID = Grid.torus([1.0, 1.0], (24, 24))
 
 
-def random_torus_path(rng, grid: Grid = None, smooth=False) -> TorusSymplecticPath:
-    """Random single-piece torus path.
+def random_torus_path(rng, smooth=False) -> TorusSymplecticPath:
+    """Random single-piece torus path on TORUS_GRID.
 
     With ``smooth`` the coefficient functions keep a single sign and the
     potential is one positive profile times a fixed spatial wave, so the
     order-0 integrand (coefficient l1 size plus oscillation) is smooth in t;
     the generic flavor lets both cross zero.
     """
-    grid = grid or TORUS_GRID
-    dim = grid.dimension
+    dim = TORUS_GRID.dimension
     t = ex.Var("t")
     harmonic = []
     for _ in range(dim):
@@ -132,7 +133,7 @@ def random_torus_path(rng, grid: Grid = None, smooth=False) -> TorusSymplecticPa
         harmonic.append(lam)
     waves = []
     for j, name in enumerate(ex.coordinates(dim)):
-        freq = float(rng.integers(1, 3)) * 2.0 * np.pi / grid.upper[j]
+        freq = float(rng.integers(1, 3)) * 2.0 * np.pi / TORUS_GRID.upper[j]
         waves.append(ex.call("sin" if rng.random() < 0.5 else "cos",
                              ex.mul(ex.const(freq), ex.Var(name))))
     if smooth:
@@ -142,7 +143,7 @@ def random_torus_path(rng, grid: Grid = None, smooth=False) -> TorusSymplecticPa
         for w in waves:
             u = ex.add(u, ex.mul(generic_profile(rng), w))
     piece = TorusPiece(0.0, 1.0, tuple(harmonic), u)
-    return TorusSymplecticPath((piece,), dim, grid)
+    return TorusSymplecticPath((piece,), dim, TORUS_GRID)
 
 
 def random_weights(rng, group, flavor="generic"):

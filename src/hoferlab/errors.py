@@ -57,10 +57,6 @@ class QuasiTriangleViolated(HoferLabError):
     """Weight fails the required relaxed triangle inequality."""
 
 
-class ShellUnresolved(HoferLabError):
-    """Radial quadrature panels are too wide to resolve the cutoff shell."""
-
-
 class CertificateFailed(HoferLabError):
     """A construction's numerical certificate did not hold."""
 

@@ -3,11 +3,11 @@
 ``square_displacement`` builds an autonomous planar Hamiltonian depending
 only on y1 whose time-1 flow translates the open square (0,a) x (0,a) of
 area c = a^2 off itself while the path length stays within 2% of c. The
-profile is a linear ramp of slope -a(1+eps) across a slightly widened
-window, glued to zero by a plateau cutoff; the flow shifts x1 by exactly
-a(1+eps) for every tracer with y1 in the window, so the translate clears
-the square with margin a*eps, and the oscillation of the profile is
-c(1+eps) plus the small window widening.
+profile is a linear ramp of slope -a(1+eps), eps = SQUARE_EPS, across a
+slightly widened window, glued to zero by a plateau cutoff; the flow
+shifts x1 by exactly a(1+eps) for every tracer with y1 in the window, so
+the translate clears the square with margin a*eps, and the oscillation of
+the profile is c(1+eps) plus the small window widening.
 
 ``half_space_shift`` builds the non-compactly-supported conjugator whose
 flow fixes the half-space x1 <= -eps and translates x1 >= 0 by +v. With
@@ -34,6 +34,7 @@ from ..hampath import AffineSymplectic, HamiltonianPath, autonomous_path, conjug
 
 # half-width of the half-space shift's working window (the x1 ramp and its grid)
 SHIFT_WINDOW = 16.0
+SQUARE_EPS = 0.004    # relative overshoot of the square's translation (margin a*SQUARE_EPS)
 
 
 @dataclass(frozen=True)
@@ -54,7 +55,7 @@ class SquareCertificate:
                 "tolerance": self.tolerance, "ok": self.ok()}
 
 
-def square_displacement(area: float, k_max: int = 5, eps: float = 0.004):
+def square_displacement(area: float, k_max: int = 5):
     """Autonomous path displacing the open square of the given area.
 
     Returns (path, certificate); raises CertificateFailed when either the
@@ -65,7 +66,7 @@ def square_displacement(area: float, k_max: int = 5, eps: float = 0.004):
     if not 0 <= k_max <= ex.MAX_DIFF_ORDER:
         raise ParameterOutOfRange("k_max", f"k_max must be in [0, {ex.MAX_DIFF_ORDER}]")
     a = math.sqrt(area)
-    v = a * (1.0 + eps)
+    v = a * (1.0 + SQUARE_EPS)
     mu = 0.002 * a
     y1 = ex.Var("y1")
     # ramp v*(a/2 - y1) on [-mu, a+mu], cut to zero outside [-2mu, a+2mu];

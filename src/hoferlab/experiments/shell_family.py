@@ -14,10 +14,11 @@ For i*p < 1 that decays, which is the degeneracy mechanism this module
 measures. A closed-domain variant adds a mirrored negated copy on a
 disjoint shell so the family stays mean-zero.
 
-Spatial integrals use polar quadrature around the moving center: radial
-Gauss-Legendre panels no wider than 1/(8m) resolve the shell, uniform
-angular samples handle the smooth periodic direction. One call serves every
-(order, p) pair asked at one t and evaluates the polar grid once, in blocks
+Spatial integrals use polar quadrature around the moving center:
+RADIAL_PANELS Gauss-Legendre panels across the shell, each 1.5/(16m) wide,
+so under the 1/(8m) that resolves the cutoff for every m, and THETA_SAMPLES
+uniform angular samples for the smooth periodic direction. One call serves
+every (order, p) pair asked at one t and evaluates the polar grid once, in blocks
 of whole radial rows of at most SHELL_BLOCK points. Their temporaries stay
 below glibc's default 128 KiB trim threshold, so freeing them does not trim
 the heap, and the next block does not fault its pages back in; whole-grid
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import expr as ex
-from ..errors import ParameterOutOfRange, ShellUnresolved
+from ..errors import ParameterOutOfRange
 from ..grid import Grid
 from ..hampath import HamiltonianPath, autonomous_path
 from ..lengths import gauss_legendre_panels
@@ -44,6 +45,8 @@ MIRROR_OFFSET = 8.0
 SHELL_INNER, SHELL_OUTER = 0.25, 0.75
 # polar grid points per block in shell_lp_norm: 32 KiB of float64
 SHELL_BLOCK = 2 ** 12
+# Gauss-Legendre panels across the shell and uniform angles of the polar rule
+RADIAL_PANELS, THETA_SAMPLES = 16, 256
 
 
 @dataclass(frozen=True)
@@ -74,17 +77,7 @@ class ShellFamilySpec:
         return autonomous_path(self.hamiltonian(), 2, grid)
 
 
-def _radial_rule(spec: ShellFamilySpec, panels: int):
-    lo, hi = spec.shell_bounds
-    width = (hi - lo) / panels
-    if width > 1.0 / (8.0 * spec.m) + 1e-15:
-        raise ShellUnresolved(
-            f"radial panel width {width:.3g} exceeds 1/(8m) = {1.0 / (8 * spec.m):.3g}")
-    return gauss_legendre_panels(lo, hi, panels)
-
-
-def shell_lp_norm(spec: ShellFamilySpec, expressions, pairs, t: float,
-                  radial_panels: int = 16, theta_samples: int = 256) -> list:
+def shell_lp_norm(spec: ShellFamilySpec, expressions, pairs, t: float) -> list:
     """L_p norms of shell-supported expressions at time t, by polar quadrature.
 
     ``pairs`` lists (expression index, p); returns one norm per pair. The
@@ -94,13 +87,13 @@ def shell_lp_norm(spec: ShellFamilySpec, expressions, pairs, t: float,
     expression that a pair names is evaluated once, and its |v|^p fills the
     block's rows of the integrand of each such pair.
     """
-    rho, w_rho = _radial_rule(spec, radial_panels)
-    theta = np.linspace(0.0, 2.0 * np.pi, theta_samples, endpoint=False)
-    w_theta = 2.0 * np.pi / theta_samples
+    rho, w_rho = gauss_legendre_panels(*spec.shell_bounds, RADIAL_PANELS)
+    theta = np.linspace(0.0, 2.0 * np.pi, THETA_SAMPLES, endpoint=False)
+    w_theta = 2.0 * np.pi / THETA_SAMPLES
     cos_theta, sin_theta = np.cos(theta), np.sin(theta)
     assignments, rewritten = ex.share_subtrees(expressions)
-    integrands = np.empty((len(pairs), len(rho), theta_samples))
-    rows = max(1, SHELL_BLOCK // theta_samples)
+    integrands = np.empty((len(pairs), len(rho), THETA_SAMPLES))
+    rows = max(1, SHELL_BLOCK // THETA_SAMPLES)
     totals = [0.0] * len(pairs)
     for cx in [0.0] + ([MIRROR_OFFSET] if spec.closed_mode else []):
         for start in range(0, len(rho), rows):
@@ -162,8 +155,7 @@ class ShellDecayReport:
                 "expected_slopes": {str(i): v for i, v in self.expected_slopes.items()}}
 
 
-def shell_decay_report(m_values, requests, closed_mode: bool = False,
-                       theta_samples: int = 256) -> list:
+def shell_decay_report(m_values, requests, closed_mode: bool = False) -> list:
     """Decay tables and fitted log-log slopes for the shell family, one per request.
 
     A request is (k, p, orders), orders None meaning 0..k. Per m and order i
@@ -195,8 +187,7 @@ def shell_decay_report(m_values, requests, closed_mode: bool = False,
     for m in m_values:
         spec = ShellFamilySpec(m, closed_mode=closed_mode)
         derivs = ex.time_derivatives(spec.hamiltonian(), pairs[-1][0])
-        norms_at = lambda t: dict(zip(pairs, shell_lp_norm(spec, derivs, pairs, t,
-                                                           theta_samples=theta_samples)))
+        norms_at = lambda t: dict(zip(pairs, shell_lp_norm(spec, derivs, pairs, t)))
         tables.append(([norms_at(t) for t in (0.25, 0.5, 0.75)],
                        [norms_at(t) for t in t_nodes]))
     logs_m = np.log(np.array(m_values, dtype=float))

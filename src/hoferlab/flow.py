@@ -29,7 +29,7 @@ from . import expr as ex
 from .errors import BlowUp, CloudMismatch, ParameterOutOfRange, StepErrorWarning
 from .hampath import HamiltonianPath
 
-DEFAULT_SAFETY_RADIUS = 1e6
+SAFETY_RADIUS = 1e6       # a tracer coordinate beyond it stops integrate with BlowUp
 MAX_DOUBLINGS = 6
 # rows of displaced A-tracers per distance block in ``displaced``
 DISPLACED_BLOCK = 256
@@ -103,7 +103,7 @@ def _velocity(field, pts, t):
     return out
 
 
-def _rk4(field, pts, t0, t1, steps, safety_radius):
+def _rk4(field, pts, t0, t1, steps):
     h = (t1 - t0) / steps
     x = pts.copy()
     for n in range(steps):
@@ -113,13 +113,13 @@ def _rk4(field, pts, t0, t1, steps, safety_radius):
         k3 = _velocity(field, x + 0.5 * h * k2, t + 0.5 * h)
         k4 = _velocity(field, x + h * k3, t + h)
         x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if np.abs(x).max() > safety_radius:
-            raise BlowUp(f"tracer left the safety box (radius {safety_radius:g})")
+        if np.abs(x).max() > SAFETY_RADIUS:
+            raise BlowUp(f"tracer left the safety box (radius {SAFETY_RADIUS:g})")
     return x
 
 
 def integrate(f: HamiltonianPath, cloud: TracerCloud, steps_per_piece: int = 256,
-              safety_radius: float = DEFAULT_SAFETY_RADIUS, tol: float = None) -> FlowMap:
+              tol: float = None) -> FlowMap:
     """Time-1 images of the tracers under the piecewise Hamiltonian flow.
 
     The error estimate compares against a half-step integration. With ``tol``
@@ -143,7 +143,7 @@ def integrate(f: HamiltonianPath, cloud: TracerCloud, steps_per_piece: int = 256
     def run(steps):
         x = pts0
         for t0, t1, vel in fields:
-            x = _rk4(vel, x, t0, t1, steps, safety_radius)
+            x = _rk4(vel, x, t0, t1, steps)
         return x
 
     steps = steps_per_piece

@@ -43,16 +43,14 @@ class Grid:
 
     @staticmethod
     def box(lower, upper, resolution):
+        """Box grid; ``resolution`` holds one sample count per axis."""
         lower, upper = tuple(map(float, lower)), tuple(map(float, upper))
-        if isinstance(resolution, int):
-            resolution = (resolution,) * len(lower)
         return Grid(len(lower), "box", lower, upper, tuple(map(int, resolution)))
 
     @staticmethod
     def torus(periods, resolution):
+        """Flat-torus grid; ``resolution`` holds one sample count per axis."""
         periods = tuple(map(float, periods))
-        if isinstance(resolution, int):
-            resolution = (resolution,) * len(periods)
         return Grid(len(periods), "torus", (0.0,) * len(periods), periods,
                     tuple(map(int, resolution)))
 

@@ -392,18 +392,15 @@ def validate_disjoint_supports(paths, boxes, grid):
                 raise SupportOverlap(f"declared boxes {i} and {j} intersect")
 
 
-def disjoint_product(paths, boxes=None, grid=None) -> HamiltonianPath:
+def disjoint_product(paths, boxes, grid) -> HamiltonianPath:
     """Pointwise sum of disjointly supported paths on a common division.
 
     The sum generates the simultaneous (= composed, by disjointness) flow.
-    Supports are validated by sampling when boxes are supplied.
+    Supports in ``boxes`` are validated by sampling on ``grid``.
     """
     paths = list(paths)
-    domain = common_domain(paths)
-    if len(paths) == 1 and boxes is None:
-        return paths[0]
-    if boxes is not None:
-        validate_disjoint_supports(paths, boxes, grid or domain)
+    common_domain(paths)
+    validate_disjoint_supports(paths, boxes, grid)
     division = _common_division(paths)
     pieces = []
     for a, b in zip(division, division[1:]):

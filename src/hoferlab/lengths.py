@@ -153,8 +153,10 @@ def _torus_sizes(piece, k, pts, nodes):
 
 
 def _sampling_grid(f, grid):
-    """``grid``, or the path's domain; a grid of another dimension or geometry is refused."""
-    shape = lambda g: f"{g.dimension}-dimensional {g.geometry}"
+    """``grid``, or the path's domain; a grid of another dimension or geometry, or a
+    torus of other periods, is refused."""
+    shape = lambda g: f"{g.dimension}-dimensional {g.geometry}" + (
+        f" of periods {list(g.upper)}" if g.geometry == "torus" else "")
     if grid is not None and shape(grid) != shape(f.domain):
         raise ParameterOutOfRange("grid", f"grid is a {shape(grid)}, the path's domain a "
                                   f"{shape(f.domain)}")

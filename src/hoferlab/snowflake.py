@@ -39,7 +39,6 @@ class WeightedGroup:
     identity: int
     inverse: np.ndarray
     weights: np.ndarray            # psi >= 0, +inf allowed
-    norm_mode: bool = False        # require psi(identity) = 0
 
     def __post_init__(self):
         table = np.asarray(self.table, dtype=int)
@@ -53,27 +52,26 @@ class WeightedGroup:
             raise ValueError("table/inverse/weights sizes do not match the order")
         if np.any(w < 0):
             raise ValueError("weights must be nonnegative")
-        if n <= 64:
+        if n <= 64:        # from_json checks larger tables; with_weights keeps its table
             self._validate_group()
-        if self.norm_mode and w[self.identity] != 0.0:
-            raise ValueError("norm mode requires zero weight at the identity")
 
     def _validate_group(self):
         n, e, T = self.order, self.identity, self.table
+        if not 0 <= min(e, T.min(), self.inverse.min()) <= max(e, T.max(), self.inverse.max()) < n:
+            raise ValueError("table, inverse and identity must hold element indices")
         if not (np.array_equal(T[e, :], np.arange(n)) and
                 np.array_equal(T[:, e], np.arange(n))):
             raise ValueError("identity row/column malformed")
         if np.any(T[np.arange(n), self.inverse] != e) or \
                 np.any(T[self.inverse, np.arange(n)] != e):
             raise ValueError("inverse table malformed")
-        # associativity: T[T[a,b], c] == T[a, T[b,c]] for all triples
-        if not np.array_equal(T[T, :], T[:, T]):
+        # associativity T[T[a,b], c] == T[a, T[b,c]], one a at a time: O(n^2) memory
+        if any(not np.array_equal(T[T[a]], T[a][T]) for a in range(n)):
             raise ValueError("multiplication table is not associative")
 
-    def with_weights(self, weights, norm_mode=None):
+    def with_weights(self, weights):
         return WeightedGroup(self.order, self.table, self.identity, self.inverse,
-                             np.asarray(weights, dtype=float),
-                             self.norm_mode if norm_mode is None else norm_mode)
+                             np.asarray(weights, dtype=float))
 
     def conjugacy_classes(self):
         n, T, inv = self.order, self.table, self.inverse
@@ -95,10 +93,13 @@ class WeightedGroup:
 
     @staticmethod
     def from_json(spec):
+        """The group a JSON object describes; its table is checked at every order."""
         w = [float("inf") if v == "inf" else float(v) for v in spec["weights"]]
-        return WeightedGroup(int(spec["order"]), np.array(spec["table"]),
-                             int(spec.get("identity", 0)), np.array(spec["inverse"]),
-                             np.array(w))
+        g = WeightedGroup(int(spec["order"]), np.array(spec["table"]),
+                          int(spec.get("identity", 0)), np.array(spec["inverse"]),
+                          np.array(w))
+        g._validate_group()
+        return g
 
 
 @dataclass(frozen=True)

@@ -398,8 +398,7 @@ def check_commutator(seed=None):
     # identity conjugator: flow of the spliced path is the identity
     comm_id = commutator_bound_report(f, hp.AffineSymplectic.identity(2), 2, g)
     cloud = fl.TracerCloud(rng.uniform(-1.0, 1.0, (24, 2)))
-    path_id = commutator_tracer_flow(
-        f, hp.autonomous_path(ex.const(0.0), 2, g), cloud, 256)
+    path_id = commutator_tracer_flow(f, hp.autonomous_path(ex.const(0.0), 2, g), cloud)
     id_err = float(np.abs(path_id.final.points - cloud.points).max())
     # affine rotation conjugator: bound holds with slack
     theta = hp.AffineSymplectic(
@@ -410,7 +409,7 @@ def check_commutator(seed=None):
     # disjoint supports: the maps commute, tracer commutator is the identity
     f1 = gauss_path(-3.0, -3.0, 0.8)
     f2 = gauss_path(3.0, 3.0, -0.7)
-    comm_fl = commutator_tracer_flow(f1, f2, cloud, 256)
+    comm_fl = commutator_tracer_flow(f1, f2, cloud)
     disjoint_err = float(np.abs(comm_fl.final.points - cloud.points).max())
     passed = comm_id.ok() and id_err <= 1e-7 and rot_ok and disjoint_err <= 1e-7
     return {"name": "commutator", "passed": bool(passed),

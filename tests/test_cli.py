@@ -9,6 +9,7 @@ import warnings
 import pytest
 
 from hoferlab import lengths as ln
+from hoferlab import snowflake as sf
 from hoferlab.cli import SUBCOMMANDS, build_parser, main
 from hoferlab.grid import SupportMarginWarning
 from hoferlab.hampath import HamiltonianPath
@@ -138,21 +139,26 @@ def test_length_hamiltonian_string(tmp_path, capsys):
 
 
 def test_length_grid_must_match_the_path_domain(tmp_path, capsys):
-    # another box of the path's dimension samples the same path; another
-    # dimension or geometry is a config error naming --grid
+    # another box of the path's dimension, or a torus of the path's periods,
+    # samples the same path; another dimension or geometry, or a torus of
+    # other periods, is a config error naming --grid
     box, torus = path_json(tmp_path), torus_path_json(tmp_path)
     grids = {"wide": {"dim": 2, "geometry": "box", "bounds": [[-3.0, -3.0], [3.0, 3.0]],
                       "resolution": [24, 24]},
              "dim4": {"dim": 4, "geometry": "box", "bounds": [[-2.0] * 4, [2.0] * 4],
                       "resolution": [4, 4, 4, 4]},
              "torus": {"dim": 2, "geometry": "torus", "periods": [1.0, 1.0],
-                       "resolution": [8, 8]}}
+                       "resolution": [8, 8]},
+             "quarter": {"dim": 2, "geometry": "torus", "periods": [0.25, 0.25],
+                         "resolution": [16, 16]}}
     files = {name: tmp_path / f"grid-{name}.json" for name in grids}
     for name, spec in grids.items():
         files[name].write_text(json.dumps(spec))
     assert run_cli("length", "--path", box, "--grid", str(files["wide"])) == 0
+    assert run_cli("length", "--path", torus, "--grid", str(files["torus"]), "--kind", "hl") == 0
     for path, grid, kinds in ((box, "dim4", ("k", "coarse", "kp")), (box, "torus", ("k",)),
-                              (torus, "dim4", ("hl",)), (torus, "wide", ("hl",))):
+                              (torus, "dim4", ("hl",)), (torus, "wide", ("hl",)),
+                              (torus, "quarter", ("hl",))):
         for kind in kinds:
             capsys.readouterr()
             assert run_cli("length", "--path", path, "--grid", str(files[grid]),
@@ -175,6 +181,13 @@ def test_unreadable_inputs_name_the_key_and_the_file(tmp_path, capsys):
         assert run_cli("snowflake", "--group", str(group)) == 2
         err = capsys.readouterr().err
         assert "g.json" in err and "(at group)" in err
+    # a broken table is refused at every order, here 65
+    spec = sf.cyclic_group(65).to_json()
+    spec["table"][1][1] = 1
+    group.write_text(json.dumps(spec))
+    assert run_cli("snowflake", "--group", str(group)) == 2
+    err = capsys.readouterr().err
+    assert "associative" in err and "(at group)" in err
 
 
 def test_flags_must_be_spelled_in_full():

@@ -11,14 +11,14 @@ from hoferlab import expr as E
 from hoferlab import flow as fl
 from hoferlab import hampath as hp
 from hoferlab import lengths as ln
-from hoferlab.errors import CertificateFailed, ShellUnresolved
+from hoferlab.errors import CertificateFailed, ConjugationUnsupported
 from hoferlab.experiments import (commutator_bound_report, commutator_path,
                                   commutator_tracer_flow, constants,
                                   disjoint_bound_check, half_space_shift,
                                   shell_decay_report, shell_lp_norm,
                                   shift_certificate, square_displacement,
                                   conjugate_by_shift)
-from hoferlab.experiments import shell_family
+from hoferlab.experiments import commutator, displacement, shell_family
 from hoferlab.experiments.shell_family import MIRROR_OFFSET, ShellFamilySpec
 from hoferlab.grid import Grid
 
@@ -92,6 +92,7 @@ def unblocked_shell_lp_norm(spec, derivative, p, t, radial_panels=16, theta_samp
 def test_shell_norm_blocks_match_unblocked(closed, theta_samples, block, monkeypatch):
     # 80 radial rows: 128 and 96 samples give 32- and 42-row blocks, the last
     # one partial; a 100-point block is shorter than a row, so one row each
+    monkeypatch.setattr(shell_family, "THETA_SAMPLES", theta_samples)
     if block is not None:
         monkeypatch.setattr(shell_family, "SHELL_BLOCK", block)
     spec = ShellFamilySpec(8, closed_mode=closed)
@@ -103,20 +104,20 @@ def test_shell_norm_blocks_match_unblocked(closed, theta_samples, block, monkeyp
     # one pass serves every (expression, p) pair, in any order
     pairs = [(i, p) for p in (0.5, 1.0 / 3.0, 2.0) for i in reversed(range(len(exprs)))]
     for time in (0.25, 0.6):
-        got = shell_lp_norm(spec, exprs, pairs, time, theta_samples=theta_samples)
+        got = shell_lp_norm(spec, exprs, pairs, time)
         want = [unblocked_shell_lp_norm(spec, exprs[i], p, time, theta_samples=theta_samples)
                 for i, p in pairs]
         assert got == want
 
 
-def test_shell_unresolved_guard():
-    spec = ShellFamilySpec(16)
-    with pytest.raises(ShellUnresolved):
-        shell_lp_norm(spec, [spec.hamiltonian()], [(0, 0.5)], 0.5, radial_panels=4)
+@pytest.fixture
+def coarse_angles(monkeypatch):
+    # 128 angular samples keep these tests quick
+    monkeypatch.setattr(shell_family, "THETA_SAMPLES", 128)
 
 
-def test_shell_decay_quick_slopes():
-    rep, = shell_decay_report([4, 8, 16], [(1, 0.5, [0, 1])], theta_samples=128)
+def test_shell_decay_quick_slopes(coarse_angles):
+    rep, = shell_decay_report([4, 8, 16], [(1, 0.5, [0, 1])])
     assert abs(rep.slopes[0] - (-2.0)) < 0.2
     assert abs(rep.slopes[1] - (-1.0)) < 0.2
     assert rep.to_csv().startswith("m,")
@@ -124,10 +125,9 @@ def test_shell_decay_quick_slopes():
     assert "np.float64" not in rep.to_dat() + rep.to_csv()
 
 
-def test_shell_closed_mode_doubles_p_power():
-    a, = shell_decay_report([8, 16], [(1, 0.5, [1])], theta_samples=128)
-    b, = shell_decay_report([8, 16], [(1, 0.5, [1])], theta_samples=128,
-                            closed_mode=True)
+def test_shell_closed_mode_doubles_p_power(coarse_angles):
+    a, = shell_decay_report([8, 16], [(1, 0.5, [1])])
+    b, = shell_decay_report([8, 16], [(1, 0.5, [1])], closed_mode=True)
     for j in range(2):
         ratio = b.max_norms[1][j] / a.max_norms[1][j]
         assert ratio == pytest.approx(2.0 ** (1 / 0.5), rel=1e-9)
@@ -135,15 +135,14 @@ def test_shell_closed_mode_doubles_p_power():
 
 
 @pytest.mark.parametrize("closed", [False, True])
-def test_shell_requests_share_one_pass(closed, monkeypatch):
+def test_shell_requests_share_one_pass(closed, coarse_angles, monkeypatch):
     requests = [(1, 0.5, None), (2, 1.0 / 3.0, None), (0, 0.5, None), (2, 1.0, [2])]
-    alone = [shell_decay_report([2, 4], [r], closed_mode=closed, theta_samples=128)[0]
-             for r in requests]
+    alone = [shell_decay_report([2, 4], [r], closed_mode=closed)[0] for r in requests]
     chains, passes = [], []
     counted = lambda fn, log: lambda *a, **kw: log.append(1) or fn(*a, **kw)
     monkeypatch.setattr(E, "time_derivatives", counted(E.time_derivatives, chains))
     monkeypatch.setattr(shell_family, "shell_lp_norm", counted(shell_lp_norm, passes))
-    together = shell_decay_report([2, 4], requests, closed_mode=closed, theta_samples=128)
+    together = shell_decay_report([2, 4], requests, closed_mode=closed)
     # one chain per m, one polar pass per (m, t): 3 peak times and 10 Gauss nodes
     assert len(chains) == 2 and len(passes) == 2 * 13
     for rep, want in zip(together, alone):
@@ -180,10 +179,11 @@ def test_square_displacement_rejects_nonpositive():
         square_displacement(-1.0)
 
 
-def test_square_displacement_certificate_failure_visible():
+def test_square_displacement_certificate_failure_visible(monkeypatch):
     # an eps large enough to blow the 2% budget must raise, not pass
+    monkeypatch.setattr(displacement, "SQUARE_EPS", 0.05)
     with pytest.raises(CertificateFailed):
-        square_displacement(1.0, eps=0.05)
+        square_displacement(1.0)
 
 
 # --- half-space shift ---
@@ -246,26 +246,24 @@ def test_commutator_bound_affine_rotation():
 def test_commutator_conjugator_validation():
     grid = Grid.box([-2.0, -2.0], [2.0, 2.0], (12, 12))
     f = hp.autonomous_path(E.parse("step(x1, 0.4, 0.8)*step(y1, 0.4, 0.8)"), 2, grid)
-    shift_path = hp.autonomous_path(E.parse("2*x1"), 2, grid)   # shifts y1 by 2
-    good = hp.AffineSymplectic.translation([0.0, 2.0])
-    cloud = fl.TracerCloud(np.array([[0.1, 0.1], [0.5, -0.3]]))
-    commutator_path(f, good, check_against=shift_path, check_cloud=cloud)
-    from hoferlab.errors import ConjugationUnsupported
-    bad = hp.AffineSymplectic.translation([1.0, 0.0])
-    with pytest.raises(ConjugationUnsupported):
-        commutator_path(f, bad, check_against=shift_path, check_cloud=cloud)
     with pytest.raises(ConjugationUnsupported):
         commutator_path(f, "not affine")
 
 
-def test_commutator_disjoint_supports_commute():
+def test_commutator_disjoint_supports_commute(monkeypatch):
     grid = Grid.box([-6.0, -6.0], [6.0, 6.0], (16, 16))
     f = _gauss_path(-3.0, -3.0, 0.9, grid)
     g = _gauss_path(3.0, 3.0, -0.7, grid)
     rng = np.random.default_rng(5)
     cloud = fl.TracerCloud(rng.uniform(-4.5, 4.5, (30, 2)))
-    fm = commutator_tracer_flow(f, g, cloud, 256)
+    stages, integrate = [], fl.integrate
+    monkeypatch.setattr(fl, "integrate", lambda *a: stages.append(integrate(*a)) or stages[-1])
+    fm = commutator_tracer_flow(f, g, cloud)
     assert np.abs(fm.final.points - cloud.points).max() < 1e-7
+    # the stats carry the largest step-error estimate of the four stages
+    assert [s.stats["steps_per_piece"] for s in stages] == [commutator.STAGE_STEPS] * 4
+    assert fm.stats["steps_per_stage"] == commutator.STAGE_STEPS
+    assert 0.0 < fm.stats["max_step_error"] == max(s.stats["max_step_error"] for s in stages)
 
 
 # --- constants ledger ---

@@ -136,11 +136,13 @@ def test_displaced_blocked_margin_matches_unblocked():
         assert cert.margin == float(np.sqrt(d2.min()))
 
 
-def test_blow_up_guard():
+def test_blow_up_guard(monkeypatch):
     f = apath("-100*y1")      # dx/dt = +100
     cloud = F.TracerCloud(np.array([[0.0, 0.0]]))
+    F.integrate(f, cloud, 64)
+    monkeypatch.setattr(F, "SAFETY_RADIUS", 10.0)
     with pytest.raises(BlowUp):
-        F.integrate(f, cloud, 64, safety_radius=10.0)
+        F.integrate(f, cloud, 64)
 
 
 def test_error_estimate_and_auto_doubling():
@@ -171,9 +173,9 @@ def test_doubling_reuses_the_previous_round(monkeypatch):
     counted = []
     rk4 = F._rk4
 
-    def counting_rk4(field, pts, t0, t1, steps, safety_radius):
+    def counting_rk4(field, pts, t0, t1, steps):
         counted.append(steps)
-        return rk4(field, pts, t0, t1, steps, safety_radius)
+        return rk4(field, pts, t0, t1, steps)
 
     monkeypatch.setattr(F, "_rk4", counting_rk4)
     fm = F.integrate(f, cloud, 16, tol=1e-10)

@@ -126,7 +126,8 @@ def test_concatenate_rejects_mismatched_paths():
     far = Grid.box([5.0, 5.0], [9.0, 9.0], (16, 16))
     g = hp.autonomous_path(E.parse("step((x1 - 7)/0.8, 0.5, 1)*step((y1 - 7)/0.8, 0.5, 1)"),
                            2, far)
-    for splice in (lambda: hp.concatenate(f, g), lambda: hp.disjoint_product([f, g])):
+    boxes = [((-1.0, -1.0), (1.0, 1.0)), ((6.0, 6.0), (8.0, 8.0))]
+    for splice in (lambda: hp.concatenate(f, g), lambda: hp.disjoint_product([f, g], boxes, far)):
         with pytest.raises(ValueError, match=r"different domains.*\[5\.0, 5\.0\]"):
             splice()
 
@@ -230,8 +231,11 @@ def test_affine_inverse_and_apply():
 
 
 def test_disjoint_product_single():
-    f = path_of((0.0, 1.0, "x1"))
-    assert hp.disjoint_product([f]) is f
+    # one path in its box: its support is still checked, and the sum is the path
+    f = bump_path(0.0, 0.0)
+    assert hp.disjoint_product([f], [((-0.75, -0.75), (0.75, 0.75))], GRID) == f
+    with pytest.raises(SupportOverlap):
+        hp.disjoint_product([f], [((0.5, 0.5), (1.5, 1.5))], GRID)
 
 
 def bump_path(cx, cy, t0=0.0, t1=1.0):

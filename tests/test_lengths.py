@@ -148,7 +148,7 @@ def test_reparametrization_invariance_order_zero():
 def test_reparametrization_changes_higher_orders():
     # two-speed replay of a time-dependent path changes the order-1 term
     f = path_of((0.0, 1.0, f"t*{BUMP}"))
-    g = hp.reparametrize(f, corpus.two_speed_time_change(0.7))
+    g = hp.reparametrize(f, corpus.two_speed_time_change())
     a = L.length_k(f, 1, GRID, 30).total
     b = L.length_k(g, 1, GRID, 30).total
     assert abs(a - b) > 1e-3
@@ -390,8 +390,8 @@ def test_torus_json_roundtrip():
 def test_functionals_refuse_a_grid_of_another_shape():
     f = path_of((0.0, 1.0, f"t*{BUMP}"))
     phi = corpus.random_torus_path(np.random.default_rng(3))
-    box4 = Grid.box([-2.0] * 4, [2.0] * 4, 4)
-    torus2 = Grid.torus([1.0, 1.0], 8)
+    box4 = Grid.box([-2.0] * 4, [2.0] * 4, (4,) * 4)
+    torus2 = Grid.torus([1.0, 1.0], (8, 8))
     calls = [lambda g: L.length_k(f, 1, g), lambda g: L.coarse_length_k(f, 1, g),
              lambda g: L.length_kp(f, 1, 0.5, g)]
     for measure in calls:
@@ -400,8 +400,10 @@ def test_functionals_refuse_a_grid_of_another_shape():
                 measure(grid)
             assert err.value.name == "grid"
         # another box of the path's dimension is a finer or wider sampling of the same path
-        assert measure(Grid.box([-3.0, -3.0], [3.0, 3.0], 30)).total > 0.0
-    for grid in (GRID, Grid.torus([1.0, 1.0, 1.0, 1.0], 4)):
+        assert measure(Grid.box([-3.0, -3.0], [3.0, 3.0], (30, 30))).total > 0.0
+    # a torus of other periods samples phi's potential on a quarter of its period
+    quarter = Grid.torus([0.25, 0.25], phi.domain.resolution)
+    for grid in (GRID, Grid.torus([1.0, 1.0, 1.0, 1.0], (4,) * 4), quarter):
         with pytest.raises(ParameterOutOfRange) as err:
             L.hofer_like_length_k(phi, 1, grid)
         assert err.value.name == "grid"

@@ -32,9 +32,24 @@ def test_group_validation_rejects_broken_table():
         S.WeightedGroup(4, t, 0, GROUPS["Z4"].inverse, np.zeros(4))
 
 
+def test_group_json_is_checked_at_every_order(monkeypatch):
+    spec = S.cyclic_group(65).to_json()
+    spec["table"][1][1] = 1      # rows 0 and 1 both map 1 to 1: not associative
+    with pytest.raises(ValueError, match="associative"):
+        S.WeightedGroup.from_json(spec)
+    spec["table"][1][1] = 65     # not an element
+    with pytest.raises(ValueError, match="element indices"):
+        S.WeightedGroup.from_json(spec)
+    # construction checks only tables up to order 64, so with_weights on a
+    # large group does no table work
+    g = S.cyclic_group(65)
+    monkeypatch.setattr(S.WeightedGroup, "_validate_group", lambda self: pytest.fail("checked"))
+    assert g.with_weights(np.ones(65)).order == 65
+
+
 def test_quasi_constant_word_norm_is_one():
     w = np.array([0.0, 1.0, 2.0, 1.0])     # word norm generated by +-1
-    g = GROUPS["Z4"].with_weights(w, norm_mode=True)
+    g = GROUPS["Z4"].with_weights(w)
     assert S.quasi_constant(g) == 1.0
 
 
@@ -59,7 +74,7 @@ def test_quasi_constant_infinite():
 
 def test_sharp_subadditive_input_is_fixed_point():
     w = np.array([0.0, 1.0, 2.0, 1.0])
-    res = S.sharp(GROUPS["Z4"].with_weights(w, norm_mode=True))
+    res = S.sharp(GROUPS["Z4"].with_weights(w))
     assert res.C == 1.0 and res.alpha == 1.0
     assert np.array_equal(res.psi_sharp, w)
 
@@ -199,7 +214,7 @@ def test_chain_bound():
 def test_fixed_exponent_mode():
     # subadditive base, k = 0: exponent 1 keeps the weight fixed
     w = np.array([0.0, 1.0, 2.0, 1.0])
-    res0 = S.sharp_fixed_exponent(GROUPS["Z4"].with_weights(w, norm_mode=True), 0)
+    res0 = S.sharp_fixed_exponent(GROUPS["Z4"].with_weights(w), 0)
     assert res0.alpha == 1.0
     assert np.array_equal(res0.psi_sharp, w)
     # k = 1 toy weights: sandwich 4^-2 psi <= psi_sharp <= psi holds exactly
