@@ -26,7 +26,6 @@ from .hampath import HamiltonianPath, Piece, TorusPiece, TorusSymplecticPath
 BOX_HALF = 2.0
 DEFAULT_GRID = Grid.box([-BOX_HALF, -BOX_HALF], [BOX_HALF, BOX_HALF], (20, 20))
 MAX_CENTER = 1.0          # bump centres lie in [-MAX_CENTER, MAX_CENTER] per coordinate
-TWO_SPEED_LAMBDA = 0.7    # two_speed_time_change maps [0, TWO_SPEED_LAMBDA] onto [0, 1/2]
 
 
 def bump(rng) -> ex.Expression:
@@ -94,16 +93,6 @@ def random_time_change(rng) -> ex.Expression:
     t = ex.Var("t")
     return ex.add(t, ex.mul(ex.const(beta),
                             ex.call("sin", ex.mul(ex.const(2.0 * np.pi), t))))
-
-
-def two_speed_time_change():
-    """Piecewise-linear s: s(TWO_SPEED_LAMBDA) = 1/2, linear on either side."""
-    lam = TWO_SPEED_LAMBDA
-    t = ex.Var("t")
-    first = ex.mul(ex.const(0.5 / lam), t)
-    second = ex.add(ex.const(0.5), ex.mul(ex.const(0.5 / (1.0 - lam)),
-                                          ex.sub(t, ex.const(lam))))
-    return [Piece(0.0, lam, first), Piece(lam, 1.0, second)]
 
 
 TORUS_GRID = Grid.torus([1.0, 1.0], (24, 24))

@@ -61,7 +61,7 @@ def square_displacement(area: float, k_max: int = 5):
     Returns (path, certificate); raises CertificateFailed when either the
     displacement or the length budget (2% of the area) fails.
     """
-    if area <= 0:
+    if not area > 0:
         raise ParameterOutOfRange("area", "area must be positive")
     if not 0 <= k_max <= ex.MAX_DIFF_ORDER:
         raise ParameterOutOfRange("k_max", f"k_max must be in [0, {ex.MAX_DIFF_ORDER}]")
@@ -115,9 +115,9 @@ class ShiftCertificate:
 
 def half_space_shift(v: float, eps: float) -> HamiltonianPath:
     """Path generated by H = -eta(x1) * v * y1 shifting {x1 >= 0} by +v."""
-    if v <= 0:
+    if not v > 0:
         raise ParameterOutOfRange("v", "v must be positive")
-    if eps <= 0:
+    if not eps > 0:
         raise ParameterOutOfRange("eps", "eps must be positive")
     x1, y1 = ex.Var("x1"), ex.Var("y1")
     # unit-width transition in the scaled argument: eta = 1 on [0, 2*window],

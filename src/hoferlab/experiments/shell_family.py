@@ -167,7 +167,7 @@ def shell_decay_report(m_values, requests, closed_mode: bool = False) -> list:
     """
     checked = []
     for k, p, orders in requests:
-        if p <= 0:
+        if not p > 0:
             raise ParameterOutOfRange("p", "p must be > 0")
         if not 0 <= k <= ex.MAX_DIFF_ORDER:
             raise ParameterOutOfRange("k", f"k must be in [0, {ex.MAX_DIFF_ORDER}]")

@@ -56,6 +56,8 @@ class TracerCloud:
         data = [list(map(float, ln.split(","))) for ln in rows[1:]]
         if any(len(row) != len(header) for row in data):
             raise ValueError(f"every row needs {len(header)} values, one per header name")
+        if not np.all(np.isfinite(data)):
+            raise ValueError("every value must be a finite number")
         return TracerCloud(np.array(data))
 
     def to_csv(self):

@@ -36,6 +36,8 @@ class Grid:
         for field in ("lower", "upper", "resolution"):
             if len(getattr(self, field)) != self.dimension:
                 raise ValueError(f"{field} must have one entry per axis")
+        if not np.all(np.isfinite(self.lower + self.upper)):
+            raise ValueError("bounds and periods must be finite numbers")
         if any(r < 2 for r in self.resolution):
             raise ValueError("resolution must be >= 2 per axis")
         if any(u <= l for l, u in zip(self.lower, self.upper)):
@@ -107,7 +109,7 @@ def oscillation(values) -> float:
 
 def lp_norm(values, p: float, cell_volume: float) -> float:
     """(sum |v|^p * cell_volume)^(1/p); a quasinorm for 0 < p < 1."""
-    if p <= 0:
+    if not p > 0:
         raise ParameterOutOfRange("p", "p must be > 0")
     return (float(np.sum(np.abs(values) ** p)) * cell_volume) ** (1.0 / p)
 

@@ -176,6 +176,8 @@ class AffineSymplectic:
         d = L.shape[0]
         if L.shape != (d, d) or b.shape != (d,) or d % 2 != 0:
             raise ValueError("linear must be 2n x 2n and shift length 2n")
+        if not (np.all(np.isfinite(L)) and np.all(np.isfinite(b))):
+            raise ValueError("linear and shift must hold finite numbers")
         J = standard_symplectic_matrix(d)
         if np.abs(L.T @ J @ L - J).max() > 1e-10:
             raise ValueError("linear part is not symplectic")

@@ -10,16 +10,18 @@ has a subadditive alpha-th power, stays within [(2C)^-2 psi, psi], keeps
 psi's zero set, and inherits symmetry and conjugate invariance.
 
 On a finite group the infimum is a shortest-path distance in the complete
-Cayley graph whose step costs are psi(s)^alpha; ``sharp`` computes it with
-Dijkstra and ``brute_force_sharp`` re-derives it by exhaustive word
-enumeration (dynamic programming over word length, which enumerates every
-word cost implicitly and exactly). An optimal word never revisits a prefix
-product, so words of length |G| - 1 suffice on a group of order |G|.
+Cayley graph whose step costs are psi(s)^alpha. ``sharp`` computes it with
+Dijkstra in its dense array form, since the graph has |G|^2 edges and a heap
+buys nothing: each round settles the open element of least cost, the lowest
+index on ties, and relaxes its whole table row at once. ``brute_force_sharp``
+re-derives it by exhaustive word enumeration (dynamic programming over word
+length, which enumerates every word cost implicitly and exactly). An optimal
+word never revisits a prefix product, so words of length |G| - 1 suffice on
+a group of order |G|.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -50,8 +52,8 @@ class WeightedGroup:
         n = self.order
         if table.shape != (n, n) or inv.shape != (n,) or w.shape != (n,):
             raise ValueError("table/inverse/weights sizes do not match the order")
-        if np.any(w < 0):
-            raise ValueError("weights must be nonnegative")
+        if not np.all(w >= 0):           # also refuses NaN; +inf stays legal
+            raise ValueError("weights must be nonnegative numbers")
         if n <= 64:        # from_json checks larger tables; with_weights keeps its table
             self._validate_group()
 
@@ -74,16 +76,14 @@ class WeightedGroup:
                              np.asarray(weights, dtype=float))
 
     def conjugacy_classes(self):
-        n, T, inv = self.order, self.table, self.inverse
-        seen = np.zeros(n, dtype=bool)
+        T, inv = self.table, self.inverse
+        seen = np.zeros(self.order, dtype=bool)
         classes = []
-        for a in range(n):
-            if seen[a]:
-                continue
-            orbit = sorted({int(T[T[b, a], inv[b]]) for b in range(n)})
-            for x in orbit:
-                seen[x] = True
-            classes.append(tuple(orbit))
+        for a in range(self.order):
+            if not seen[a]:
+                orbit = sorted(set(T[T[:, a], inv].tolist()))     # b a b^-1 over all b
+                seen[orbit] = True
+                classes.append(tuple(orbit))
         return classes
 
     def to_json(self):
@@ -135,37 +135,34 @@ def generic_alpha(C: float) -> float:
 
 
 def _dijkstra(g: WeightedGroup, costs):
-    """Shortest word-cost from the identity under right multiplication."""
-    n, T, e = g.order, g.table, g.identity
+    """Shortest word-cost from the identity under right multiplication.
+
+    pred[:, v] is (previous element, last generator) on a cheapest word to v,
+    -1 where there is none.
+    """
+    n, T = g.order, g.table
     dist = np.full(n, np.inf)
-    dist[e] = 0.0
-    pred = [None] * n
-    heap = [(0.0, e)]
+    dist[g.identity] = 0.0
+    pred = np.full((2, n), -1)
     done = np.zeros(n, dtype=bool)
-    while heap:
-        d, u = heapq.heappop(heap)
-        if done[u]:
-            continue
+    while True:
+        open_dist = np.where(done, np.inf, dist)
+        u = int(np.argmin(open_dist))          # lowest index on ties
+        if open_dist[u] == np.inf:
+            return dist, pred
         done[u] = True
-        for s in range(n):
-            c = costs[s]
-            if not np.isfinite(c):
-                continue
-            v = int(T[u, s])
-            nd = d + c
-            if nd < dist[v]:
-                dist[v] = nd
-                pred[v] = (u, s)
-                heapq.heappush(heap, (nd, v))
-    return dist, pred
+        cand = dist[u] + costs                 # row T[u] is a permutation
+        s = np.flatnonzero(cand < dist[T[u]])
+        v = T[u, s]
+        dist[v], pred[0, v], pred[1, v] = cand[s], u, s
 
 
 def _witness(pred, v, identity):
     word = []
     while v != identity or word == []:
-        if pred[v] is None:
+        if pred[0, v] < 0:
             return tuple()        # unreachable or the identity itself
-        v, s = pred[v]
+        v, s = pred[:, v].tolist()
         word.append(s)
     return tuple(reversed(word))
 
@@ -258,11 +255,8 @@ def _table_from_elements(elements, compose):
     for i, a in enumerate(elements):
         for j, b in enumerate(elements):
             table[i, j] = index[compose(a, b)]
-    inv = np.zeros(n, dtype=int)
     e = index[elements[0]]
-    for i in range(n):
-        inv[i] = int(np.where(table[i] == e)[0][0])
-    return table, inv, e
+    return table, np.argmax(table == e, axis=1), e
 
 
 def cyclic_group(n):

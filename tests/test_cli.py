@@ -136,6 +136,20 @@ def test_length_hamiltonian_string(tmp_path, capsys):
         assert run_cli(*argv, "--hamiltonian", "x2*y1", "--grid", str(grid)) == 2
         err = capsys.readouterr().err
         assert "(at hamiltonian)" in err and "beyond the declared dimension" in err
+    # NaN fails every range check, not only the ones it compares true against
+    assert run_cli("length", "--hamiltonian", "x1*y1", "--grid", str(grid),
+                   "--kind", "kp", "--p", "nan") == 2
+    assert "(at --p)" in capsys.readouterr().err
+    # a NaN or infinite grid bound or period is refused, not sampled
+    for spec in ({"dim": 2, "geometry": "box", "bounds": [[-2.0, float("nan")], [2.0, 2.0]],
+                  "resolution": [4, 4]},
+                 {"dim": 2, "geometry": "box", "bounds": [[-2.0, -2.0], [2.0, float("inf")]],
+                  "resolution": [4, 4]},
+                 {"dim": 2, "geometry": "torus", "periods": [1.0, float("inf")],
+                  "resolution": [4, 4]}):
+        grid.write_text(json.dumps(spec))
+        assert run_cli("length", "--hamiltonian", "x1", "--grid", str(grid)) == 2
+        assert "(at grid)" in capsys.readouterr().err
 
 
 def test_length_grid_must_match_the_path_domain(tmp_path, capsys):
@@ -217,7 +231,9 @@ def test_flow_subcommand(tmp_path, capsys):
     assert run_cli("flow", "--path", p, "--cloud", str(cloud)) == 2
     assert "cloud.csv" in capsys.readouterr().err
     # a header that does not name the coordinates in order, or no header at all
-    for text in ("y1,x1\n0.0,1.0\n", "1.0,2.0\n3.0,4.0\n"):
+    # or a value that is not a finite number
+    for text in ("y1,x1\n0.0,1.0\n", "1.0,2.0\n3.0,4.0\n", "x1,y1\nnan,0\n",
+                 "x1,y1\n0.0,-inf\n"):
         cloud.write_text(text)
         assert run_cli("flow", "--path", p, "--cloud", str(cloud)) == 2
         err = capsys.readouterr().err
@@ -233,6 +249,12 @@ def test_snowflake_subcommand(tmp_path, capsys):
     short.write_text(json.dumps([0.0, 1.0, 2.0]))
     assert run_cli("snowflake", "--group", "Z4", "--weights", str(short)) == 2
     assert "weights" in capsys.readouterr().err
+    # NaN is not a weight; +inf is
+    short.write_text("[0, NaN, 1, 1]")
+    assert run_cli("snowflake", "--group", "Z4", "--weights", str(short)) == 2
+    assert "(at weights)" in capsys.readouterr().err
+    short.write_text("[0, Infinity, 1, Infinity]")
+    assert run_cli("snowflake", "--group", "Z4", "--weights", str(short)) == 0
 
 
 def test_snowflake_dk_mode(tmp_path, capsys):
@@ -261,6 +283,9 @@ def test_snowflake_dk_mode(tmp_path, capsys):
         assert run_cli("snowflake", *argv) == 2
         assert f"(at {flag})" in capsys.readouterr().err
     capsys.readouterr()
+    f.write_text(json.dumps(dict(spec, weights=[0.0, "NaN", 1.0, 1.0])))
+    assert run_cli("snowflake", "--group", str(f)) == 2
+    assert "(at group)" in capsys.readouterr().err
     f.write_text(json.dumps({"order": 4}))
     assert run_cli("snowflake", "--group", str(f)) == 2
     assert "g.json" in capsys.readouterr().err
@@ -275,7 +300,10 @@ def test_displace_and_shift(capsys):
                        (["displace", "--c", "1", "--k-max", "-1"], "--k-max"),
                        (["displace", "--c", "1", "--k-max", "9"], "--k-max"),
                        (["shift", "--v", "-1", "--eps", "0.1"], "--v"),
-                       (["shift", "--v", "1", "--eps", "0"], "--eps")):
+                       (["shift", "--v", "1", "--eps", "0"], "--eps"),
+                       (["displace", "--c", "nan"], "--c"),
+                       (["shift", "--v", "nan", "--eps", "0.1"], "--v"),
+                       (["shift", "--v", "1", "--eps", "nan"], "--eps")):
         capsys.readouterr()
         assert run_cli(*argv) == 2
         assert f"(at {flag})" in capsys.readouterr().err
@@ -292,7 +320,8 @@ def test_gm_subcommand(tmp_path, capsys):
                        (["--k", "-1"], "--k"), (["--m", "4"], "--m"), (["--m", "4,4"], "--m"),
                        (["--m", "4,8", "--k", "9"], "--k"),
                        (["--m", "4,8", "--orders", "-1"], "--orders"),
-                       (["--m", "4,8", "--orders", "0,9"], "--orders")):
+                       (["--m", "4,8", "--orders", "0,9"], "--orders"),
+                       (["--m", "4,8", "--k", "0", "--p", "nan"], "--p")):
         capsys.readouterr()
         assert run_cli("gm", *argv) == 2
         assert f"(at {flag})" in capsys.readouterr().err
@@ -309,6 +338,12 @@ def test_commutator_subcommand(tmp_path, capsys):
                                "shift": [0.0, 0.0]}))
     assert run_cli("commutator", "--path", p, "--theta", str(bad)) == 2
     capsys.readouterr()
+    # NaN passes the symplectic test's comparison, so finiteness is checked first
+    for spec in ({"linear": [[float("nan"), 0.0], [0.0, 1.0]], "shift": [0.0, 0.0]},
+                 {"linear": [[1.0, 0.0], [0.0, 1.0]], "shift": [float("inf"), 0.0]}):
+        bad.write_text(json.dumps(spec))
+        assert run_cli("commutator", "--path", p, "--theta", str(bad)) == 2
+        assert "(at theta)" in capsys.readouterr().err
     for k in ("-1", "9"):
         assert run_cli("commutator", "--path", p, "--theta", str(theta), "--k", k) == 2
         assert "(at --k)" in capsys.readouterr().err

@@ -44,13 +44,6 @@ def test_time_change_monotone_and_fixed_ends():
         assert np.min(E.eval_env(d, {"t": ts})) > 0.0
 
 
-def test_two_speed_change_pieces():
-    pieces = corpus.two_speed_time_change()
-    assert pieces[0].t_end == 0.7
-    assert float(E.eval_env(pieces[0].hamiltonian, {"t": 0.7})) == pytest.approx(0.5)
-    assert float(E.eval_env(pieces[1].hamiltonian, {"t": 1.0})) == pytest.approx(1.0)
-
-
 def test_class_function_weights_constant_on_classes():
     rng = np.random.default_rng(3)
     g = sf.symmetric_group(3)

@@ -145,10 +145,30 @@ def test_reparametrization_invariance_order_zero():
         assert b == pytest.approx(a, rel=1e-8)
 
 
+TWO_SPEED_LAMBDA = 0.7    # two_speed_time_change maps [0, TWO_SPEED_LAMBDA] onto [0, 1/2]
+
+
+def two_speed_time_change():
+    """Piecewise-linear s: s(TWO_SPEED_LAMBDA) = 1/2, linear on either side."""
+    lam = TWO_SPEED_LAMBDA
+    t = E.Var("t")
+    first = E.mul(E.const(0.5 / lam), t)
+    second = E.add(E.const(0.5), E.mul(E.const(0.5 / (1.0 - lam)),
+                                       E.sub(t, E.const(lam))))
+    return [hp.Piece(0.0, lam, first), hp.Piece(lam, 1.0, second)]
+
+
+def test_two_speed_change_pieces():
+    pieces = two_speed_time_change()
+    assert pieces[0].t_end == 0.7
+    assert float(E.eval_env(pieces[0].hamiltonian, {"t": 0.7})) == pytest.approx(0.5)
+    assert float(E.eval_env(pieces[1].hamiltonian, {"t": 1.0})) == pytest.approx(1.0)
+
+
 def test_reparametrization_changes_higher_orders():
     # two-speed replay of a time-dependent path changes the order-1 term
     f = path_of((0.0, 1.0, f"t*{BUMP}"))
-    g = hp.reparametrize(f, corpus.two_speed_time_change())
+    g = hp.reparametrize(f, two_speed_time_change())
     a = L.length_k(f, 1, GRID, 30).total
     b = L.length_k(g, 1, GRID, 30).total
     assert abs(a - b) > 1e-3

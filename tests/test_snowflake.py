@@ -1,5 +1,6 @@
 """Snowflake transform on finite groups, with enumeration oracles."""
 
+import heapq
 import itertools
 
 import numpy as np
@@ -265,3 +266,99 @@ def test_conjugacy_classes_s3():
     classes = GROUPS["S3"].conjugacy_classes()
     sizes = sorted(len(c) for c in classes)
     assert sizes == [1, 2, 3]
+
+
+# --- the heap Dijkstra, orbit loop and inverse loop the array forms replaced ---
+
+def heap_dijkstra(g, costs):
+    n, T, e = g.order, g.table, g.identity
+    dist = np.full(n, np.inf)
+    dist[e] = 0.0
+    pred = [None] * n
+    heap = [(0.0, e)]
+    done = np.zeros(n, dtype=bool)
+    while heap:
+        d, u = heapq.heappop(heap)
+        if done[u]:
+            continue
+        done[u] = True
+        for s in range(n):
+            c = costs[s]
+            if not np.isfinite(c):
+                continue
+            v = int(T[u, s])
+            nd = d + c
+            if nd < dist[v]:
+                dist[v] = nd
+                pred[v] = (u, s)
+                heapq.heappush(heap, (nd, v))
+    return dist, pred
+
+
+def heap_witness(pred, v, identity):
+    word = []
+    while v != identity or word == []:
+        if pred[v] is None:
+            return tuple()
+        v, s = pred[v]
+        word.append(s)
+    return tuple(reversed(word))
+
+
+def loop_classes(g):
+    n, T, inv = g.order, g.table, g.inverse
+    seen = np.zeros(n, dtype=bool)
+    classes = []
+    for a in range(n):
+        if seen[a]:
+            continue
+        orbit = sorted({int(T[T[b, a], inv[b]]) for b in range(n)})
+        for x in orbit:
+            seen[x] = True
+        classes.append(tuple(orbit))
+    return classes
+
+
+def loop_inverse(table, e):
+    return [int(np.where(table[i] == e)[0][0]) for i in range(len(table))]
+
+
+ORACLE_GROUPS = {name: S.builtin_group(name)
+                 for name in ("Z4", "Z5", "Z7", "S3", "S4", "D4", "Z64", "Z128", "Z256")}
+ORACLE_GROUPS.update(S5=S.symmetric_group(5), D16=S.dihedral_group(16))
+
+
+def cyclic_subgroup(g, a):
+    sub, x = {g.identity}, a
+    while x not in sub:
+        sub.add(x)
+        x = int(g.table[x, a])
+    return sub
+
+
+def oracle_weights(rng, g):
+    """Generic, symmetric and class weights, integer copies (ties), +inf off a subgroup."""
+    out = [corpus.random_weights(rng, g, flavor) for flavor in ("generic", "symmetric", "class")]
+    out += [np.ceil(w) for w in out]
+    # a proper cyclic subgroup (the trivial one when there is none)
+    subgroups = (cyclic_subgroup(g, int(a)) for a in rng.permutation(g.order))
+    sub = next((h for h in subgroups if 1 < len(h) < g.order), {g.identity})
+    inside = np.isin(np.arange(g.order), sorted(sub))
+    return out + [np.where(inside, w, np.inf) for w in out]
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_GROUPS))
+def test_dense_dijkstra_equals_heap_dijkstra(name, monkeypatch):
+    group = ORACLE_GROUPS[name]
+    assert group.conjugacy_classes() == loop_classes(group)
+    if name[0] != "Z":       # built from element lists, inverses found in the table
+        assert group.inverse.tolist() == loop_inverse(group.table, group.identity)
+    rng = np.random.default_rng(group.order)
+    cases = oracle_weights(rng, group)
+    dense = [S.sharp(group.with_weights(w)) for w in cases]
+    monkeypatch.setattr(S, "_dijkstra", heap_dijkstra)
+    monkeypatch.setattr(S, "_witness", heap_witness)
+    for w, new in zip(cases, dense):
+        old = S.sharp(group.with_weights(w))
+        assert np.array_equal(new.psi_sharp, old.psi_sharp)
+        assert new.witnesses == old.witnesses
