@@ -25,6 +25,7 @@ import functools
 import json
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -32,12 +33,12 @@ from . import expr as ex
 from . import flow as fl
 from . import lengths as ln
 from . import snowflake as sf
-from .errors import ConfigInvalid, HoferLabError, ParameterOutOfRange
+from .errors import ConfigInvalid, HoferLabError, ParameterOutOfRange, SupportMarginWarning
 from .experiments import (commutator_bound_report, constants, disjoint_bound_check,
                           shell_decay_report, shift_certificate, square_displacement)
-from .grid import Grid, check_support_margin
+from .grid import Grid
 from .hampath import (AffineSymplectic, HamiltonianPath, TorusSymplecticPath, autonomous_path,
-                      box_corners, common_domain, path_from_json)
+                      box_corners, common_domain, first_leak, path_from_json)
 from .verify import run_suite, summary_bytes
 
 EXIT_OK = 0
@@ -149,12 +150,15 @@ def cmd_length(args):
         raise ConfigInvalid("kind=hl needs a torus path with harmonic pieces", "path")
     rep = _in_range(lambda: _length_report(args, path, grid),
                     lambda name: "--" + name.replace("_", "-"))
-    # outside input: warn when a piece does not vanish near the box boundary
-    if isinstance(path, HamiltonianPath):
-        pts = grid.points()
-        for piece in path.pieces:
-            mid = 0.5 * (piece.t_start + piece.t_end)
-            check_support_margin(ex.evaluate(piece.hamiltonian, pts, mid), grid)
+    # outside input: warn when the path does not vanish on the box's outermost
+    # cell layer, the points outside [lower + h, upper - h], at any lattice time
+    if isinstance(path, HamiltonianPath) and grid.geometry == "box":
+        h = np.array(grid.spacings)
+        t = first_leak(path, grid, np.array(grid.lower) + h, np.array(grid.upper) - h,
+                       rep.quadrature["time_samples"])
+        if t is not None:
+            warnings.warn(f"path does not vanish on the box's outermost cell layer at t={t}; "
+                          "the box may truncate its support", SupportMarginWarning)
     _emit(rep.to_json(), args.out)
     if args.csv:
         _write(args.csv, rep.to_csv())

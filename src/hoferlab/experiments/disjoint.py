@@ -41,9 +41,10 @@ class DisjointBoundReport:
 
 def disjoint_bound_check(paths, boxes, k: int, grid=None,
                          time_samples: int = 65) -> DisjointBoundReport:
-    """Validate supports, form the product path, and measure the bound."""
+    """Validate supports on the coarse lengths' own time lattice, form the
+    product path, and measure the bound."""
     grid = grid or paths[0].domain
-    product = disjoint_product(paths, boxes=boxes, grid=grid)
+    product = disjoint_product(paths, boxes, grid, time_samples)
     prod_rep = ln.coarse_length_k(product, k, grid, time_samples)
     member_totals = tuple(
         ln.coarse_length_k(f, k, grid, time_samples).total for f in paths)

@@ -61,8 +61,8 @@ def square_displacement(area: float, k_max: int = 5):
     Returns (path, certificate); raises CertificateFailed when either the
     displacement or the length budget (2% of the area) fails.
     """
-    if not area > 0:
-        raise ParameterOutOfRange("area", "area must be positive")
+    if not 0 < area < math.inf:
+        raise ParameterOutOfRange("area", "area must be a finite number > 0")
     if not 0 <= k_max <= ex.MAX_DIFF_ORDER:
         raise ParameterOutOfRange("k_max", f"k_max must be in [0, {ex.MAX_DIFF_ORDER}]")
     a = math.sqrt(area)
@@ -115,10 +115,10 @@ class ShiftCertificate:
 
 def half_space_shift(v: float, eps: float) -> HamiltonianPath:
     """Path generated by H = -eta(x1) * v * y1 shifting {x1 >= 0} by +v."""
-    if not v > 0:
-        raise ParameterOutOfRange("v", "v must be positive")
-    if not eps > 0:
-        raise ParameterOutOfRange("eps", "eps must be positive")
+    if not 0 < v < math.inf:
+        raise ParameterOutOfRange("v", "v must be a finite number > 0")
+    if not 0 < eps < math.inf:
+        raise ParameterOutOfRange("eps", "eps must be a finite number > 0")
     x1, y1 = ex.Var("x1"), ex.Var("y1")
     # unit-width transition in the scaled argument: eta = 1 on [0, 2*window],
     # 0 left of -eps and right of 2*window + eps

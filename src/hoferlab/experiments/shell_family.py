@@ -28,6 +28,7 @@ arrays (160 KiB each) cost about half the check's time in minor faults.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,8 +168,8 @@ def shell_decay_report(m_values, requests, closed_mode: bool = False) -> list:
     """
     checked = []
     for k, p, orders in requests:
-        if not p > 0:
-            raise ParameterOutOfRange("p", "p must be > 0")
+        if not 0 < p < math.inf:
+            raise ParameterOutOfRange("p", "p must be a finite number > 0")
         if not 0 <= k <= ex.MAX_DIFF_ORDER:
             raise ParameterOutOfRange("k", f"k must be in [0, {ex.MAX_DIFF_ORDER}]")
         orders = list(range(k + 1)) if orders is None else sorted(orders)

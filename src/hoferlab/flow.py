@@ -243,16 +243,6 @@ def box_region(lower, upper):
     return test
 
 
-def ball_region(center, radius):
-    center = np.asarray(center, dtype=float)
-
-    def test(pts):
-        pts = np.asarray(pts, dtype=float)
-        return np.linalg.norm(pts - center, axis=1) < radius
-
-    return test
-
-
 def polygon_area(loop_points):
     """Shoelace area of a polygon in the (x1, y1) plane; flows preserve it."""
     x = loop_points[:, 0]

@@ -5,19 +5,18 @@ bare array of samples at the grid points, in ``Grid.points`` order.
 
 Quadrature is the midpoint rule: box axes sample cell centers, torus axes
 sample j*h (every point is a cell center under periodicity). Box grids
-stand for "compactly supported inside this box"; fields are expected to
-vanish near the boundary and a support-margin warning is emitted when they
-do not.
+stand for "compactly supported inside this box"; ``leaks`` is the one rule
+for whether samples vanish outside a set of grid points.
 """
 
 from __future__ import annotations
 
-import warnings
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GeometryError, ParameterOutOfRange, SupportMarginWarning
+from .errors import GeometryError, ParameterOutOfRange
 
 
 @dataclass(frozen=True)
@@ -109,38 +108,13 @@ def oscillation(values) -> float:
 
 def lp_norm(values, p: float, cell_volume: float) -> float:
     """(sum |v|^p * cell_volume)^(1/p); a quasinorm for 0 < p < 1."""
-    if not p > 0:
-        raise ParameterOutOfRange("p", "p must be > 0")
+    if not 0 < p < math.inf:
+        raise ParameterOutOfRange("p", "p must be a finite number > 0")
     return (float(np.sum(np.abs(values) ** p)) * cell_volume) ** (1.0 / p)
 
 
-def boundary_mask(grid: Grid) -> np.ndarray:
-    """Flat boolean mask of the outermost cell layer of a box grid."""
-    shape = grid.resolution
-    mask = np.zeros(shape, dtype=bool)
-    for axis in range(grid.dimension):
-        idx_lo = [slice(None)] * grid.dimension
-        idx_lo[axis] = 0
-        idx_hi = [slice(None)] * grid.dimension
-        idx_hi[axis] = shape[axis] - 1
-        mask[tuple(idx_lo)] = True
-        mask[tuple(idx_hi)] = True
-    return mask.ravel()
-
-
-def check_support_margin(values, grid: Grid) -> bool:
-    """Warn (never fail) when samples on a box grid are not numerically
-    supported inside: their boundary layer reaches 1e-9 of their oscillation."""
-    if grid.geometry != "box":
-        return True
+def leaks(values, outside) -> bool:
+    """Whether the samples are not numerically zero on the mask ``outside``: they
+    reach 1e-9 of their oscillation there. A field with zero oscillation never leaks."""
     osc = oscillation(values)
-    if osc == 0.0:
-        return True
-    edge = np.abs(values[boundary_mask(grid)]).max()
-    if edge >= 1e-9 * osc:
-        warnings.warn(
-            f"field reaches {edge:.3e} on the boundary layer "
-            f"(oscillation {osc:.3e}); box may truncate its support",
-            SupportMarginWarning, stacklevel=2)
-        return False
-    return True
+    return osc > 0 and bool(np.any(np.abs(values[outside]) >= 1e-9 * osc))

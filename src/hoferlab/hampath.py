@@ -13,6 +13,10 @@ symplectic map (substituted into the expression; on a torus it would have
 to preserve the lattice) and pointwise sums of disjointly supported
 families take ``HamiltonianPath``s only. Splices and sums need one domain.
 
+Supports are checked by sampling: ``first_leak`` evaluates each piece on
+the path's ``lattice`` (the times the coarse length samples too) and
+applies ``grid.leaks`` to the grid points outside a box.
+
 Continuity of the underlying flow at piece boundaries is deliberately not
 part of the data model; the flow module checks it where experiments care.
 """
@@ -25,7 +29,7 @@ import numpy as np
 
 from . import expr as ex
 from .errors import GeometryError, NotMonotone, SupportOverlap
-from .grid import Grid, oscillation
+from .grid import Grid, leaks
 
 
 @dataclass(frozen=True)
@@ -114,6 +118,15 @@ class PiecewisePath:
                 return p
         raise ValueError(f"t={t} outside [0,1]")
 
+    def lattice(self, samples):
+        """Per piece, its times on the closed lattice {j/(samples-1)} and its two
+        ends, so a breakpoint is sampled from both adjacent pieces."""
+        nodes = np.linspace(0.0, 1.0, samples)
+        return [np.unique(np.concatenate([[p.t_start],
+                                          nodes[(nodes >= p.t_start) & (nodes <= p.t_end)],
+                                          [p.t_end]]))
+                for p in self.pieces]
+
     def to_json(self):
         return {
             "dimension": self.dimension,
@@ -132,9 +145,6 @@ class PiecewisePath:
 @dataclass(frozen=True)
 class HamiltonianPath(PiecewisePath):
     PIECE = Piece
-
-    def hamiltonian_at(self, t):
-        return self.piece_at(t).hamiltonian
 
 
 @dataclass(frozen=True)
@@ -194,9 +204,6 @@ class AffineSymplectic:
     def inverse(self):
         Linv = np.linalg.inv(self.linear)
         return AffineSymplectic(Linv, -Linv @ self.shift)
-
-    def apply(self, points):
-        return np.asarray(points, dtype=float) @ self.linear.T + self.shift
 
     def as_substitution(self):
         """Variable map realizing x -> self(x), i.e. x_j := (L x + b)_j."""
@@ -371,21 +378,30 @@ def box_corners(paths, boxes):
     return out
 
 
-def validate_disjoint_supports(paths, boxes, grid):
-    """Sampling check that each path's Hamiltonian vanishes outside its box."""
-    boxes = box_corners(paths, boxes)
+def first_leak(f: HamiltonianPath, grid: Grid, lo, hi, samples):
+    """First time of ``f.lattice(samples)`` at which a piece's Hamiltonian, sampled
+    on ``grid``, leaks (``grid.leaks``) at the points outside the box [lo, hi];
+    None when it never does, or when no grid point lies outside the box."""
     pts = grid.points()
-    for f, (lo, hi) in zip(paths, boxes):
-        outside = np.any((pts < lo) | (pts > hi), axis=1)
-        if not outside.any():
-            continue
-        for tq in np.linspace(0.0, 1.0, 5):
-            h = f.hamiltonian_at(min(tq, 1.0 - 1e-12))
-            vals = ex.evaluate(h, pts, tq)
-            scale = max(oscillation(vals), 1e-300)
-            if np.abs(vals[outside]).max() > 1e-9 * scale:
-                raise SupportOverlap(
-                    f"path support leaks outside its declared box at t={tq}")
+    outside = np.any((pts < lo) | (pts > hi), axis=1)
+    if not outside.any():
+        return None
+    for piece, times in zip(f.pieces, f.lattice(samples)):
+        for rows, _, vals in ex.eval_over_time([piece.hamiltonian], pts, times):
+            for t, row in zip(times[rows], vals):
+                if leaks(row, outside):
+                    return float(t)
+    return None
+
+
+def validate_disjoint_supports(paths, boxes, grid, samples):
+    """Sampling check that each path's Hamiltonian vanishes outside its box at
+    every time of its ``lattice(samples)``, and that the boxes are disjoint."""
+    boxes = box_corners(paths, boxes)
+    for i, (f, (lo, hi)) in enumerate(zip(paths, boxes)):
+        t = first_leak(f, grid, lo, hi, samples)
+        if t is not None:
+            raise SupportOverlap(f"path {i} leaks outside its declared box at t={t}")
     for i in range(len(boxes)):
         for j in range(i + 1, len(boxes)):
             lo_i, hi_i = boxes[i]
@@ -394,15 +410,16 @@ def validate_disjoint_supports(paths, boxes, grid):
                 raise SupportOverlap(f"declared boxes {i} and {j} intersect")
 
 
-def disjoint_product(paths, boxes, grid) -> HamiltonianPath:
+def disjoint_product(paths, boxes, grid, samples) -> HamiltonianPath:
     """Pointwise sum of disjointly supported paths on a common division.
 
     The sum generates the simultaneous (= composed, by disjointness) flow.
-    Supports in ``boxes`` are validated by sampling on ``grid``.
+    Supports in ``boxes`` are validated by sampling on ``grid`` at the times
+    of the ``samples``-point lattice.
     """
     paths = list(paths)
     common_domain(paths)
-    validate_disjoint_supports(paths, boxes, grid)
+    validate_disjoint_supports(paths, boxes, grid, samples)
     division = _common_division(paths)
     pieces = []
     for a, b in zip(division, division[1:]):

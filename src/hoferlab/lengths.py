@@ -12,13 +12,14 @@ Four variants are computed, each with a per-derivative-order breakdown:
 
 Every number produced here is a sampled length of the *given* path, never the
 infimum-over-paths metric, which the exact length bounds from above; sampling
-can read below the exact length (``two_resolution`` brackets the grid error).
+can read below the exact length.
 
 Time quadrature is composite 5-point Gauss-Legendre per piece, in one
 per-piece loop that the three integral variants share. The coarse
-functional is sampled on a global uniform closed lattice, which makes it
-exactly invariant under division refinements whose new breakpoints lie on
-the lattice.
+functional is sampled on a global uniform closed lattice plus the piece
+ends (``PiecewisePath.lattice``, on which ``hampath.first_leak`` checks
+supports too), which makes it exactly invariant under division refinements
+whose new breakpoints lie on the lattice.
 """
 
 from __future__ import annotations
@@ -176,39 +177,20 @@ def _integral_length(f, k, grid, time_samples, piece_sizes, kind, **quad_extra):
     return _report(per_piece, np.sum, quad, kind)
 
 
-def two_resolution(f: HamiltonianPath, k: int, grid: Grid, time_samples: int = 10):
-    """Richardson-style bracket for the grid-sampling error of length_k.
-
-    Sampled oscillation under-estimates the true sup - inf by O(h^2); the
-    same functional on a doubled grid plus the second-order extrapolation
-    brackets the converged value.
-    """
-    fine_grid = Grid(grid.dimension, grid.geometry, grid.lower, grid.upper,
-                     tuple(2 * r for r in grid.resolution))
-    coarse = length_k(f, k, grid, time_samples)
-    fine = length_k(f, k, fine_grid, time_samples)
-    extrapolated = fine.total + (fine.total - coarse.total) / 3.0
-    return {"coarse": coarse.total, "fine": fine.total,
-            "extrapolated": extrapolated,
-            "sampling_error_estimate": abs(fine.total - coarse.total)}
-
-
 def coarse_length_k(f: HamiltonianPath, k: int, grid: Grid = None,
                     time_samples: int = 129) -> LengthReport:
     """Sum_{i<=k} of the supremum over pieces and times of the oscillation.
 
-    Sampled on the global closed lattice {j/(S-1)}; lattice breakpoints are
-    evaluated from both adjacent pieces, so refining a division at a lattice
-    point cannot change the result.
+    Sampled on ``f.lattice(time_samples)``, the global closed lattice
+    {j/(S-1)} plus the piece ends, so breakpoints are evaluated from both
+    adjacent pieces and refining a division at a lattice point cannot change
+    the result.
     """
     check_sampling(time_samples)
     grid = _sampling_grid(f, grid)
     pts = grid.points()
-    lattice = np.linspace(0.0, 1.0, time_samples)
     per_piece = []
-    for piece in f.pieces:
-        sel = lattice[(lattice >= piece.t_start) & (lattice <= piece.t_end)]
-        ts = np.unique(np.concatenate([[piece.t_start], sel, [piece.t_end]]))
+    for piece, ts in zip(f.pieces, f.lattice(time_samples)):
         sizes = _size_table(ex.time_derivatives(piece.hamiltonian, k), pts, ts,
                             oscillation)
         per_piece.append(tuple(float(v) for v in sizes.max(axis=0)))

@@ -6,12 +6,15 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
+from hoferlab import hampath as hp
 from hoferlab import lengths as ln
 from hoferlab import snowflake as sf
 from hoferlab.cli import SUBCOMMANDS, build_parser, main
-from hoferlab.grid import SupportMarginWarning
+from hoferlab.errors import SupportMarginWarning
+from hoferlab.grid import Grid
 from hoferlab.hampath import HamiltonianPath
 
 PKG_SCHEMAS = os.path.join(os.path.dirname(__file__), os.pardir,
@@ -52,18 +55,71 @@ def test_length_subcommand(tmp_path, capsys):
     assert run_cli("length", "--path", p, "--k", "1", "--kind", "coarse") == 0
 
 
+def grid_json(tmp_path, lower, upper, resolution, name="grid.json"):
+    spec = {"dim": len(lower), "geometry": "box", "bounds": [lower, upper],
+            "resolution": resolution}
+    g = tmp_path / name
+    g.write_text(json.dumps(spec))
+    return str(g)
+
+
 def test_length_warns_on_support_margin_for_every_kind(tmp_path, capsys):
-    # (1 + x1^2)*t does not vanish near the boundary of the path's box grid
-    p = path_json(tmp_path, expr="(1 + x1^2)*t")
-    for extra in (["--kind", "k"], ["--kind", "coarse"], ["--kind", "kp", "--p", "0.5"]):
+    # neither field vanishes near the boundary of the path's box grid;
+    # (t - 0.5)*x1 vanishes at the midpoint t = 0.5 alone, where the margin
+    # was once the only time checked
+    kinds = (["--kind", "k"], ["--kind", "coarse"], ["--kind", "kp", "--p", "0.5"])
+    for expr in ("(1 + x1^2)*t", "(t - 0.5)*x1"):
+        p = path_json(tmp_path, expr=expr)
+        for extra in kinds:
+            with pytest.warns(SupportMarginWarning, match="outermost cell layer at t="):
+                assert run_cli("length", "--path", p, "--k", "1", *extra) == 0
+    g = grid_json(tmp_path, [-1.0, -1.0], [1.0, 1.0], [16, 16])
+    for extra in kinds:
         with pytest.warns(SupportMarginWarning):
-            assert run_cli("length", "--path", p, "--k", "1", *extra) == 0
+            assert run_cli("length", "--hamiltonian", "(t - 0.5)*x1", "--grid", g, *extra) == 0
     capsys.readouterr()
-    with open(p, encoding="utf-8") as fh:
-        path = HamiltonianPath.from_json(json.load(fh))
+    # a step bump times t vanishes on the layer, and a torus grid has no layer
+    torus = tmp_path / "torus_grid.json"
+    torus.write_text(json.dumps({"dim": 2, "geometry": "torus", "periods": [1.0, 1.0],
+                                 "resolution": [8, 8]}))
     with warnings.catch_warnings():
         warnings.simplefilter("error", SupportMarginWarning)
+        for extra in kinds:
+            assert run_cli("length", "--path", path_json(tmp_path), "--k", "1", *extra) == 0
+        assert run_cli("length", "--hamiltonian", "(t - 0.5)*x1", "--grid", str(torus)) == 0
+        p = path_json(tmp_path, expr="(1 + x1^2)*t")
+        with open(p, encoding="utf-8") as fh:
+            path = HamiltonianPath.from_json(json.load(fh))
         ln.length_k(path, 1)
+
+
+def boundary_mask(grid):
+    """Flat mask of the outermost cell layer of a box grid, index by index."""
+    mask = np.zeros(grid.resolution, dtype=bool)
+    for axis in range(grid.dimension):
+        for end in (0, grid.resolution[axis] - 1):
+            index = [slice(None)] * grid.dimension
+            index[axis] = end
+            mask[tuple(index)] = True
+    return mask.ravel()
+
+
+def test_length_margin_layer_is_the_outermost_cell_layer(tmp_path, capsys, monkeypatch):
+    # the warning's box [lower + h, upper - h] leaves out exactly the grid
+    # points of the outermost cell layer
+    masks = []
+    monkeypatch.setattr(hp, "leaks", lambda values, outside: masks.append(outside) or False)
+    for lower, upper, res in (([-1.0, -1.0], [1.0, 1.0], [16, 16]),
+                              ([-1.0, 0.0], [1.0, 3.0], [5, 7]),
+                              ([0.1, -0.3], [0.7, 2.9], [3, 2]),
+                              ([-2.0] * 4, [2.0] * 4, [3, 5, 4, 3]),
+                              ([-1.0, 0.0, -3.0, 0.5], [1.0, 0.3, 3.0, 2.0], [5, 3, 3, 7])):
+        g = grid_json(tmp_path, lower, upper, res)
+        masks.clear()
+        assert run_cli("length", "--hamiltonian", "t*x1", "--grid", g) == 0
+        want = boundary_mask(Grid.box(lower, upper, res))
+        assert masks and all(np.array_equal(m, want) for m in masks)
+    capsys.readouterr()
 
 
 def test_length_kp_requires_p(tmp_path, capsys):
@@ -75,7 +131,8 @@ def test_length_kp_requires_p(tmp_path, capsys):
                         (["--kind", "coarse", "--k", "9"], "--k"),
                         (["--kind", "kp", "--p", "0.5", "--k", "9"], "--k"),
                         (["--time-samples", "3"], "--time-samples"),
-                        (["--kind", "coarse", "--time-samples", "3"], "--time-samples")):
+                        (["--kind", "coarse", "--time-samples", "3"], "--time-samples"),
+                        (["--kind", "kp", "--p", "inf"], "--p")):
         capsys.readouterr()
         assert run_cli("length", "--path", p, *extra) == 2
         assert f"(at {flag})" in capsys.readouterr().err
@@ -303,7 +360,10 @@ def test_displace_and_shift(capsys):
                        (["shift", "--v", "1", "--eps", "0"], "--eps"),
                        (["displace", "--c", "nan"], "--c"),
                        (["shift", "--v", "nan", "--eps", "0.1"], "--v"),
-                       (["shift", "--v", "1", "--eps", "nan"], "--eps")):
+                       (["shift", "--v", "1", "--eps", "nan"], "--eps"),
+                       (["displace", "--c", "inf"], "--c"),
+                       (["shift", "--v", "inf", "--eps", "0.1"], "--v"),
+                       (["shift", "--v", "1", "--eps", "inf"], "--eps")):
         capsys.readouterr()
         assert run_cli(*argv) == 2
         assert f"(at {flag})" in capsys.readouterr().err
@@ -321,7 +381,8 @@ def test_gm_subcommand(tmp_path, capsys):
                        (["--m", "4,8", "--k", "9"], "--k"),
                        (["--m", "4,8", "--orders", "-1"], "--orders"),
                        (["--m", "4,8", "--orders", "0,9"], "--orders"),
-                       (["--m", "4,8", "--k", "0", "--p", "nan"], "--p")):
+                       (["--m", "4,8", "--k", "0", "--p", "nan"], "--p"),
+                       (["--m", "4,8", "--k", "0", "--p", "inf"], "--p")):
         capsys.readouterr()
         assert run_cli("gm", *argv) == 2
         assert f"(at {flag})" in capsys.readouterr().err
@@ -421,6 +482,14 @@ def test_disjoint_subcommand(tmp_path, capsys):
         f.write_text(json.dumps(dict(cfg, boxes=boxes)))
         assert run_cli("disjoint", "--config", str(f)) == 2
         assert "$.boxes" in capsys.readouterr().err
+    # a bump that leaves its box between the five times once checked fails
+    # the check at a time of the bound's own lattice
+    moving = "step((x1 + 1 - 0.8*sin(25.132741228718345*t))/0.4, 0.5, 1)*step(y1/0.4, 0.5, 1)"
+    cfg["paths"][0]["pieces"] = [dict(piece(-1.0), expr=moving)]
+    cfg["paths"][1]["pieces"] = [piece(1.0)]
+    f.write_text(json.dumps(cfg))
+    assert run_cli("disjoint", "--config", str(f)) == 1
+    assert "path 0 leaks outside its declared box at t=" in capsys.readouterr().err
 
 
 def test_run_config_dispatch(tmp_path, capsys):

@@ -11,6 +11,7 @@ never depend on the expression DSL (``expr``). The modules of the ``experiments`
 form one layer and may import each other.
 
 Only ``cli`` opens files: the library takes and returns text and objects.
+Only ``cli`` and ``flow`` (``StepErrorWarning``) call ``warnings.warn``.
 """
 
 import ast
@@ -73,20 +74,32 @@ def test_modules_import_only_earlier_layers():
     assert not bad, bad
 
 
-def opened_files(tree):
-    """Line of every call of ``open`` in ``tree``, by name or as an attribute (``io.open``)."""
+def calls(tree, name):
+    """Line of every call of ``name`` in ``tree``, bare or as an attribute (``io.open``)."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Call):
             f = node.func
-            if (isinstance(f, ast.Name) and f.id == "open"
-                    or isinstance(f, ast.Attribute) and f.attr == "open"):
+            if (isinstance(f, ast.Name) and f.id == name
+                    or isinstance(f, ast.Attribute) and f.attr == name):
                 yield node.lineno
 
 
-def test_only_the_cli_opens_files():
+def calls_outside(name, owners):
+    """``module:line`` of every call of ``name`` in a module not named in ``owners``."""
     modules = [m for m in sorted(PACKAGE.rglob("*.py"))
-               if m.relative_to(PACKAGE).as_posix() != "cli.py"]
+               if m.relative_to(PACKAGE).as_posix() not in owners]
     assert modules
-    bad = [f"{m.relative_to(PACKAGE)}:{line}" for m in modules
-           for line in opened_files(ast.parse(m.read_text(encoding="utf-8")))]
+    return [f"{m.relative_to(PACKAGE)}:{line}" for m in modules
+            for line in calls(ast.parse(m.read_text(encoding="utf-8")), name)]
+
+
+def test_only_the_cli_opens_files():
+    bad = calls_outside("open", ("cli.py",))
+    assert not bad, bad
+
+
+def test_only_the_cli_and_flow_warn():
+    # the length functions never warn; the CLI warns on outside input and the
+    # flow on a missed step-error tolerance
+    bad = calls_outside("warn", ("cli.py", "flow.py"))
     assert not bad, bad

@@ -92,6 +92,10 @@ def test_c0_distance_cloud_mismatch():
         F.c0_distance(a, b)
 
 
+def ball_region(center, radius):
+    return lambda pts: np.linalg.norm(pts - np.asarray(center), axis=1) < radius
+
+
 def _ball_cloud(radius, n=300, seed=0):
     rng = np.random.default_rng(seed)
     pts = rng.uniform(-radius, radius, (4 * n, 2))
@@ -102,14 +106,14 @@ def _ball_cloud(radius, n=300, seed=0):
 def test_displaced_identity_false():
     cloud = _ball_cloud(0.5)
     fm = F.integrate(apath("0"), cloud, 8)
-    cert = F.displaced(fm, F.ball_region([0.0, 0.0], 0.5))
+    cert = F.displaced(fm, ball_region([0.0, 0.0], 0.5))
     assert not cert.displaced and cert.margin == 0.0
 
 
 def test_displaced_shifted_ball():
     cloud = _ball_cloud(0.5)
     fm = F.integrate(apath("2*x1"), cloud, 16)   # shift by 2 along y1
-    cert = F.displaced(fm, F.ball_region([0.0, 0.0], 0.5))
+    cert = F.displaced(fm, ball_region([0.0, 0.0], 0.5))
     assert cert.displaced and cert.margin >= 1.0
     assert cert.samples == cloud.points.shape[0]
 
@@ -117,7 +121,7 @@ def test_displaced_shifted_ball():
 def test_displaced_blocked_margin_matches_unblocked():
     cloud = _ball_cloud(0.5, n=F.DISPLACED_BLOCK + 300, seed=1)
     fm = F.integrate(apath("2*x1"), cloud, 16)
-    cert = F.displaced(fm, F.ball_region([0.0, 0.0], 0.5))
+    cert = F.displaced(fm, ball_region([0.0, 0.0], 0.5))
     assert cert.samples > F.DISPLACED_BLOCK
     a0, a1 = fm.initial.points, fm.final.points
     d2 = np.sum((a1[:, None, :] - a0[None, :, :]) ** 2, axis=-1)
@@ -129,7 +133,7 @@ def test_displaced_blocked_margin_matches_unblocked():
         pts = rng.uniform(-0.3, 0.3, (4 * F.DISPLACED_BLOCK, dim))
         pts = pts[np.linalg.norm(pts, axis=1) < 0.5][:F.DISPLACED_BLOCK + 300]
         fm = F.integrate(apath("2*x1"), F.TracerCloud(pts), 16)
-        cert = F.displaced(fm, F.ball_region(np.zeros(dim), 0.5))
+        cert = F.displaced(fm, ball_region(np.zeros(dim), 0.5))
         assert cert.samples == F.DISPLACED_BLOCK + 300 and cert.displaced
         a0, a1 = fm.initial.points, fm.final.points
         d2 = np.sum((a1[:, None, :] - a0[None, :, :]) ** 2, axis=-1)
@@ -225,8 +229,9 @@ def test_conjugated_flow_equivariance():
     rng = np.random.default_rng(2)
     cloud = F.TracerCloud(rng.uniform(-1.0, 1.0, (30, 2)))
     lhs = F.integrate(g, cloud, 256).final.points
-    pulled = F.TracerCloud(theta.inverse().apply(cloud.points))
-    rhs = theta.apply(F.integrate(f, pulled, 256).final.points)
+    apply = lambda a, x: x @ a.linear.T + a.shift
+    pulled = F.TracerCloud(apply(theta.inverse(), cloud.points))
+    rhs = apply(theta, F.integrate(f, pulled, 256).final.points)
     assert np.abs(lhs - rhs).max() < 1e-7
 
 

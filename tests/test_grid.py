@@ -139,10 +139,18 @@ def test_grid_json_roundtrip():
 
 
 def test_support_margin_warning():
+    # grid.leaks is the one support rule: the samples reach 1e-9 of their
+    # oscillation on the mask
     g = box(16, 1.0)
-    with pytest.warns(G.SupportMarginWarning):
-        assert not G.check_support_margin(sample("x1", g), g)
-    assert G.check_support_margin(sample("step(x1, 0.2, 0.4)*step(y1, 0.2, 0.4)", g), g)
-    # torus samples have no boundary layer to check
-    torus = G.Grid.torus([1.0, 1.0], (8, 8))
-    assert G.check_support_margin(sample("x1", torus), torus)
+    layer = np.any(np.abs(g.points()) > 1.0 - g.spacings[0], axis=1)
+    assert G.leaks(sample("x1", g), layer)
+    assert not G.leaks(sample("step(x1, 0.2, 0.4)*step(y1, 0.2, 0.4)", g), layer)
+    values = np.zeros(len(layer))
+    values[np.flatnonzero(~layer)[:2]] = (1.0, -1.0)     # oscillation 2
+    edge = np.flatnonzero(layer)[0]
+    for v, leak in ((2e-9, True), (-2e-9, True), (1.999e-9, False), (0.0, False)):
+        values[edge] = v
+        assert G.leaks(values, layer) is leak
+    assert not G.leaks(values, np.zeros(len(layer), dtype=bool))
+    # a field of zero oscillation never leaks, whatever its value on the mask
+    assert not G.leaks(np.full(len(layer), 5.0), layer)

@@ -24,7 +24,7 @@ def path_of(*specs):
 
 
 def eval_path(f, t, pts):
-    return E.evaluate(f.hamiltonian_at(t), pts, t)
+    return E.evaluate(f.piece_at(t).hamiltonian, pts, t)
 
 
 def test_tiling_validation():
@@ -127,7 +127,8 @@ def test_concatenate_rejects_mismatched_paths():
     g = hp.autonomous_path(E.parse("step((x1 - 7)/0.8, 0.5, 1)*step((y1 - 7)/0.8, 0.5, 1)"),
                            2, far)
     boxes = [((-1.0, -1.0), (1.0, 1.0)), ((6.0, 6.0), (8.0, 8.0))]
-    for splice in (lambda: hp.concatenate(f, g), lambda: hp.disjoint_product([f, g], boxes, far)):
+    for splice in (lambda: hp.concatenate(f, g),
+                   lambda: hp.disjoint_product([f, g], boxes, far, 33)):
         with pytest.raises(ValueError, match=r"different domains.*\[5\.0, 5\.0\]"):
             splice()
 
@@ -226,16 +227,17 @@ def test_affine_inverse_and_apply():
     theta = hp.AffineSymplectic(np.array([[0.0, -1.0], [1.0, 0.0]]),
                                 np.array([0.5, -1.0]))
     pts = np.array([[0.3, 0.7], [-1.2, 0.1]])
-    back = theta.inverse().apply(theta.apply(pts))
+    apply = lambda a, x: x @ a.linear.T + a.shift
+    back = apply(theta.inverse(), apply(theta, pts))
     assert np.abs(back - pts).max() < 1e-12
 
 
 def test_disjoint_product_single():
     # one path in its box: its support is still checked, and the sum is the path
     f = bump_path(0.0, 0.0)
-    assert hp.disjoint_product([f], [((-0.75, -0.75), (0.75, 0.75))], GRID) == f
+    assert hp.disjoint_product([f], [((-0.75, -0.75), (0.75, 0.75))], GRID, 33) == f
     with pytest.raises(SupportOverlap):
-        hp.disjoint_product([f], [((0.5, 0.5), (1.5, 1.5))], GRID)
+        hp.disjoint_product([f], [((0.5, 0.5), (1.5, 1.5))], GRID, 33)
 
 
 def bump_path(cx, cy, t0=0.0, t1=1.0):
@@ -248,7 +250,7 @@ def test_disjoint_product_sum_and_division():
     g = path_of((0.0, 0.5, "step((x1 - 1)/0.4, 0.5, 1)*step((y1 - 1)/0.4, 0.5, 1)"),
                 (0.5, 1.0, "2*step((x1 - 1)/0.4, 0.5, 1)*step((y1 - 1)/0.4, 0.5, 1)"))
     boxes = [((-1.5, -1.5), (-0.5, -0.5)), ((0.5, 0.5), (1.5, 1.5))]
-    prod = hp.disjoint_product([f, g], boxes=boxes, grid=GRID)
+    prod = hp.disjoint_product([f, g], boxes=boxes, grid=GRID, samples=33)
     assert [p.t_start for p in prod.pieces] == [0.0, 0.5]
     pts = np.array([[-1.0, -1.0], [1.0, 1.0]])
     vals = eval_path(prod, 0.75, pts)
@@ -261,7 +263,7 @@ def test_disjoint_product_rejects_overlap():
     g = bump_path(0.2, 0.0)
     boxes = [((-0.5, -0.5), (0.5, 0.5)), ((-0.3, -0.5), (0.7, 0.5))]
     with pytest.raises(SupportOverlap):
-        hp.disjoint_product([f, g], boxes=boxes, grid=GRID)
+        hp.disjoint_product([f, g], boxes=boxes, grid=GRID, samples=33)
 
 
 def test_disjoint_product_rejects_leaky_support():
@@ -269,21 +271,54 @@ def test_disjoint_product_rejects_leaky_support():
     g = bump_path(1.0, 1.0)
     boxes = [((-0.5, -0.5), (0.5, 0.5)), ((0.5, 0.5), (1.5, 1.5))]
     with pytest.raises(SupportOverlap):
-        hp.disjoint_product([f, g], boxes=boxes, grid=GRID)
+        hp.disjoint_product([f, g], boxes=boxes, grid=GRID, samples=33)
 
 
 def test_validate_disjoint_supports_needs_one_box_per_path():
     p = bump_path(0.0, 0.0)
     box = ((-0.75, -0.75), (0.75, 0.75))
-    hp.validate_disjoint_supports([p], [box], GRID)
+    hp.validate_disjoint_supports([p], [box], GRID, 33)
     # two identical paths with one box: before, only the first was checked
     with pytest.raises(ValueError, match="2 paths, 1 boxes"):
-        hp.validate_disjoint_supports([p, p], [box], GRID)
+        hp.validate_disjoint_supports([p, p], [box], GRID, 33)
     # a 1-D corner of a 2-D path: before, it was broadcast over both axes
     with pytest.raises(ValueError, match=r"boxes\[0\]"):
-        hp.validate_disjoint_supports([p], [((-0.5,), (0.5,))], GRID)
+        hp.validate_disjoint_supports([p], [((-0.5,), (0.5,))], GRID, 33)
     with pytest.raises(ValueError, match=r"boxes\[0\]"):
-        hp.disjoint_product([p], boxes=[(box[0], box[1], box[1])], grid=GRID)
+        hp.disjoint_product([p], boxes=[(box[0], box[1], box[1])], grid=GRID,
+                             samples=33)
+
+
+BUMP = "step(x1/0.8, 0.5, 1)*step(y1/0.8, 0.5, 1)"
+
+
+def test_first_leak_samples_both_pieces_at_a_breakpoint():
+    # each leak shows only at the breakpoint 0.3, which is off the 5-point
+    # lattice, and only in the piece on one side of it
+    lo, hi = (-1.0, -1.0), (1.0, 1.0)
+    before = path_of((0.0, 0.3, "x1*(1 - step(t, 0.29, 0.3))"), (0.3, 1.0, BUMP))
+    after = path_of((0.0, 0.3, BUMP), (0.3, 1.0, "x1*step(t, 0.3, 0.31)"))
+    for f in (before, after):
+        assert [list(ts) for ts in f.lattice(5)] == [[0.0, 0.25, 0.3], [0.3, 0.5, 0.75, 1.0]]
+        assert hp.first_leak(f, GRID, lo, hi, 5) == 0.3
+    assert hp.first_leak(path_of((0.0, 0.3, BUMP), (0.3, 1.0, BUMP)), GRID, lo, hi, 5) is None
+    # no grid point outside the box: nothing to check
+    assert hp.first_leak(before, GRID, (-2.0, -2.0), (2.0, 2.0), 5) is None
+
+
+def test_disjoint_product_checks_every_lattice_time():
+    # the bump sits in its box at t = 0, 1/4, ..., 1 (the five times once
+    # checked) but leaves it in between: wholly outside at t = 1/16
+    grid = Grid.box([-4.0, -4.0], [4.0, 4.0], (36, 36))
+    moving = hp.autonomous_path(E.parse(
+        "step((x1 + 2.6 - 1.2*sin(25.132741228718345*t))/0.4, 0.5, 1)"
+        "*step((y1 + 2.6)/0.4, 0.5, 1)"), 2, grid)
+    still = hp.autonomous_path(
+        E.parse("step((x1 - 2.6)/0.4, 0.5, 1)*step((y1 - 2.6)/0.4, 0.5, 1)"), 2, grid)
+    boxes = [((-3.1, -3.1), (-2.1, -2.1)), ((2.1, 2.1), (3.1, 3.1))]
+    assert hp.first_leak(moving, grid, *boxes[0], 5) is None
+    with pytest.raises(SupportOverlap, match=r"path 0 leaks .* at t=0\.03125$"):
+        hp.disjoint_product([moving, still], boxes, grid, 33)
 
 
 def _corpus_paths_of_both_types():

@@ -265,13 +265,6 @@ def test_quadrature_convergence():
     assert b == pytest.approx(a, rel=1e-6)
 
 
-def test_two_resolution_bracket():
-    f = path_of((0.0, 1.0, "exp(-x1^2 - y1^2)*(1 + t)"))
-    out = L.two_resolution(f, 1, GRID, 10)
-    assert out["fine"] >= out["coarse"]
-    assert out["extrapolated"] >= out["fine"]
-
-
 def test_time_samples_precondition():
     f = path_of((0.0, 1.0, BUMP))
     with pytest.raises(ValueError):
