@@ -38,7 +38,7 @@ class GradientUnavailable(HoferLabError):
 
 
 class BlowUp(HoferLabError):
-    """A tracer left the integrator's safety box."""
+    """A tracer left the integrator's safety box or became NaN."""
 
 
 class CloudMismatch(HoferLabError):

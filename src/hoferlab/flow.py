@@ -13,7 +13,14 @@ symplectic; a step-doubling error estimate is recorded and, when a target
 tolerance is supplied, the step count doubles until the estimate meets it.
 Each doubling round reuses the previous round's result as its half-step
 run, and the subtrees the velocity components share are evaluated once per
-RK4 stage.
+RK4 stage. The steps run on the cloud as (2n, N) coordinate rows, so every
+expression reads and writes contiguous rows. The stage inputs and the update
+are formed in place, in the grouping of the textbook formula, and equal it
+bit for bit.
+
+A displacement certificate returns at once when a region tracer ends inside
+the region; otherwise it takes the margin over blocks of at most
+``DISPLACED_BLOCK`` squared distances.
 """
 
 from __future__ import annotations
@@ -29,10 +36,10 @@ from . import expr as ex
 from .errors import BlowUp, CloudMismatch, ParameterOutOfRange, StepErrorWarning
 from .hampath import HamiltonianPath
 
-SAFETY_RADIUS = 1e6       # a tracer coordinate beyond it stops integrate with BlowUp
+SAFETY_RADIUS = 1e6       # a tracer coordinate beyond it, or NaN, stops integrate with BlowUp
 MAX_DOUBLINGS = 6
-# rows of displaced A-tracers per distance block in ``displaced``
-DISPLACED_BLOCK = 256
+# squared distances per block in ``displaced``: 128 KiB of float64
+DISPLACED_BLOCK = 2 ** 14
 
 
 @dataclass(frozen=True)
@@ -92,32 +99,58 @@ def _gradient_field(piece_hamiltonian, dimension):
     return vel
 
 
-def _velocity(field, pts, t):
-    """Velocity at ``pts``; ``field`` is ``expr.share_subtrees`` of the components."""
+def _velocity(field, x, t):
+    """Velocity at the (2n, N) coordinate rows ``x``, as (2n, N) rows.
+
+    ``field`` is ``expr.share_subtrees`` of the components. Each coordinate
+    name is bound to a contiguous row of ``x`` and each component is written
+    into a row of the output, so no expression reads or writes a strided column.
+    """
     assignments, components = field
-    env = ex.point_env(pts, t)
+    env = dict(zip(ex.coordinates(len(x)), x))
+    env["t"] = float(t)
     for name, e, _ in assignments:
         env[name] = ex.eval_env(e, env)
-    out = np.empty_like(pts)
+    out = np.empty_like(x)
     for j, e in enumerate(components):
-        v = ex.eval_env(e, env)
-        out[:, j] = v if np.ndim(v) else float(v)
+        out[j] = ex.eval_env(e, env)
     return out
 
 
 def _rk4(field, pts, t0, t1, steps):
+    """RK4 from the (N, 2n) cloud ``pts``; returns a C-ordered (N, 2n) array.
+
+    The steps run on the (2n, N) coordinate rows. The stage inputs and the
+    update are formed in place, in the grouping of
+    x + (h/6)*(((k1 + 2*k2) + 2*k3) + k4), so each value is the same float.
+    """
     h = (t1 - t0) / steps
-    x = pts.copy()
+    x = pts.T.copy()
+    y = np.empty_like(x)
     for n in range(steps):
         t = t0 + n * h
         k1 = _velocity(field, x, t)
-        k2 = _velocity(field, x + 0.5 * h * k1, t + 0.5 * h)
-        k3 = _velocity(field, x + 0.5 * h * k2, t + 0.5 * h)
-        k4 = _velocity(field, x + h * k3, t + h)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if np.abs(x).max() > SAFETY_RADIUS:
-            raise BlowUp(f"tracer left the safety box (radius {SAFETY_RADIUS:g})")
-    return x
+        np.multiply(k1, 0.5 * h, out=y)
+        y += x
+        k2 = _velocity(field, y, t + 0.5 * h)
+        np.multiply(k2, 0.5 * h, out=y)
+        y += x
+        k3 = _velocity(field, y, t + 0.5 * h)
+        np.multiply(k3, h, out=y)
+        y += x
+        k4 = _velocity(field, y, t + h)
+        k2 *= 2.0
+        k2 += k1
+        k3 *= 2.0
+        k2 += k3
+        k2 += k4
+        k2 *= h / 6.0
+        k2 += x
+        x = k2
+        if not np.abs(x).max() <= SAFETY_RADIUS:      # a NaN coordinate fails too
+            raise BlowUp(f"tracer left the safety box (radius {SAFETY_RADIUS:g}) "
+                         "or became NaN")
+    return x.T.copy()
 
 
 def integrate(f: HamiltonianPath, cloud: TracerCloud, steps_per_piece: int = 256,
@@ -130,7 +163,9 @@ def integrate(f: HamiltonianPath, cloud: TracerCloud, steps_per_piece: int = 256
     integrates once. A ``StepErrorWarning`` says when the estimate still
     misses ``tol`` after the last doubling. The velocity components of a
     piece share their common subtrees (``expr.share_subtrees``), which are
-    evaluated once per RK4 stage.
+    evaluated once per RK4 stage on the cloud's (2n, N) coordinate rows, with
+    the stages formed in place (``_rk4``). A tracer coordinate that passes
+    ``SAFETY_RADIUS`` or becomes NaN raises ``BlowUp``.
     """
     if steps_per_piece < 2:
         # the error estimate needs a half-step run that differs from the run
@@ -200,31 +235,36 @@ def displaced(flow: FlowMap, region_test) -> DisplacementCertificate:
 
     ``region_test`` maps an (N, 2n) array to a boolean membership mask. The
     margin is the smallest distance from any displaced A-tracer back to the
-    initial A-sample set.
+    initial A-sample set. When some A-tracer ends inside the region the
+    certificate is (False, 0.0) and no distance is computed. Otherwise the
+    distances are taken in blocks of max(1, DISPLACED_BLOCK // N_A) rows, so
+    a block holds at most max(DISPLACED_BLOCK, N_A) values.
     """
     init = flow.initial.points
     mask = np.asarray(region_test(init), dtype=bool)
     if not mask.any():
         raise ValueError("no tracers sample the region")
+    samples = int(mask.sum())
     a0 = init[mask]
     a1 = flow.final.points[mask]
-    still_inside = bool(np.asarray(region_test(a1), dtype=bool).any())
-    d2_min = np.min([_squared_distances(a1[i:i + DISPLACED_BLOCK], a0).min()
-                     for i in range(0, len(a1), DISPLACED_BLOCK)])
+    if np.asarray(region_test(a1), dtype=bool).any():
+        return DisplacementCertificate(displaced=False, margin=0.0, samples=samples)
+    rows = max(1, DISPLACED_BLOCK // len(a0))
+    d2_min = np.min([_squared_distances(a1[i:i + rows], a0).min()
+                     for i in range(0, len(a1), rows)])
     margin = float(np.sqrt(d2_min))
-    return DisplacementCertificate(displaced=(not still_inside) and margin > 0.0,
-                                   margin=margin if not still_inside else 0.0,
-                                   samples=int(mask.sum()))
+    return DisplacementCertificate(displaced=margin > 0.0, margin=margin, samples=samples)
 
 
 def _squared_distances(rows, cols):
     """(len(rows), len(cols)) squared distances, summed one axis at a time.
 
     Pairwise without scipy and without a (rows, cols, 2n) temporary; callers
-    pass blocks of rows so memory stays O(DISPLACED_BLOCK * len(cols)). For
-    2n < 8 the sums equal ``np.sum(..., axis=-1)`` of that temporary bit for
-    bit (NumPy adds fewer than 8 terms in order); from 2n = 8 on NumPy sums
-    pairwise, so they can differ in the last bit.
+    pass blocks of rows so that a block holds at most
+    max(DISPLACED_BLOCK, len(cols)) values. For 2n < 8 the sums equal
+    ``np.sum(..., axis=-1)`` of that temporary bit for bit (NumPy adds fewer
+    than 8 terms in order); from 2n = 8 on NumPy sums pairwise, so they can
+    differ in the last bit.
     """
     d2 = (rows[:, None, 0] - cols[None, :, 0]) ** 2
     for j in range(1, rows.shape[1]):

@@ -361,7 +361,8 @@ def _common_division(paths):
 
 
 def box_corners(paths, boxes):
-    """One (lo, hi) pair of corner arrays per path, each of the path's dimension.
+    """One (lo, hi) pair of corner arrays per path, each of the path's dimension,
+    with lo < hi on every axis.
 
     Raises ValueError naming the count or ``boxes[i]`` otherwise.
     """
@@ -374,6 +375,8 @@ def box_corners(paths, boxes):
         if len(corners) != 2 or any(c.shape != (f.dimension,) for c in corners):
             raise ValueError(f"boxes[{i}] must be [lo, hi] corners of "
                              f"{f.dimension} coordinates each")
+        if not np.all(corners[0] < corners[1]):
+            raise ValueError(f"boxes[{i}] needs lo < hi on every axis")
         out.append(tuple(corners))
     return out
 

@@ -297,6 +297,22 @@ def test_flow_subcommand(tmp_path, capsys):
         assert "cloud.csv" in err and "(at cloud)" in err
 
 
+def test_flow_that_turns_nan_exits_one(tmp_path, capsys):
+    # at x1 = 30, exp(x1^2)*exp(-x1^2) is inf*0 = NaN: the flow stops with
+    # BlowUp and exit 1, and prints no stats and writes no file
+    cloud = tmp_path / "cloud.csv"
+    cloud.write_text("x1,y1\n30.0,0.5\n0.1,0.2\n")
+    prefix = str(tmp_path / "o" / "run")
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = run_cli("flow", "--hamiltonian", "exp(x1^2)*exp(-x1^2)*y1",
+                       "--grid", grid_json(tmp_path, [-2.0, -2.0], [2.0, 2.0], [16, 16]),
+                       "--cloud", str(cloud), "--steps", "16", "--out-prefix", prefix)
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "NaN" in captured.err and captured.out == ""
+    assert not (tmp_path / "o").exists()
+
+
 def test_snowflake_subcommand(tmp_path, capsys):
     assert run_cli("snowflake", "--group", "Z5", "--seed", "3") == 0
     out = json.loads(capsys.readouterr().out)
@@ -475,10 +491,14 @@ def test_disjoint_subcommand(tmp_path, capsys):
                                  boxes=[cfg["boxes"][0], [[6.5, 6.5], [7.5, 7.5]]])))
     assert run_cli("disjoint", "--config", str(f)) == 2
     assert "(at $.paths)" in capsys.readouterr().err
-    # every path needs its own box with corners of the path's dimension
+    # every path needs its own box with corners of the path's dimension and
+    # lo < hi on every axis (an inverted box would count every grid point as
+    # outside, a leak at t=0)
     cfg["paths"][1]["dimension"] = 2
     cfg["paths"][1]["pieces"] = [piece(-1.0)]
-    for boxes in (cfg["boxes"][:1], 5, [[[-1.5], [-0.5]], [[0.5, -0.5], [1.5, 0.5]]]):
+    for boxes in (cfg["boxes"][:1], 5, [[[-1.5], [-0.5]], [[0.5, -0.5], [1.5, 0.5]]],
+                  [[[-0.5, 0.5], [-1.5, -0.5]], [[0.5, -0.5], [1.5, 0.5]]],
+                  [[[-1.5, -0.5], [-1.5, 0.5]], [[0.5, -0.5], [1.5, 0.5]]]):
         f.write_text(json.dumps(dict(cfg, boxes=boxes)))
         assert run_cli("disjoint", "--config", str(f)) == 2
         assert "$.boxes" in capsys.readouterr().err

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from hoferlab import corpus
 from hoferlab import expr as E
 from hoferlab import flow as F
 from hoferlab import hampath as hp
@@ -67,8 +68,85 @@ def test_velocity_on_the_plan_matches_the_raw_field():
         for t in np.linspace(piece.t_start, piece.t_end, 5):
             env = E.point_env(pts, t)
             want = np.stack([E.eval_array(c, env, len(pts)) for c in field], axis=1)
-            assert np.array_equal(F._velocity(plan, pts, t), want)
+            assert np.array_equal(F._velocity(plan, pts.T, t), want.T)
     assert E.variables(field[1]) == {"t"}
+
+
+def _column_velocity(field, pts, t):
+    """The velocity before coordinate rows: (N, 2n) points, strided output columns."""
+    assignments, components = field
+    env = E.point_env(pts, t)
+    for name, e, _ in assignments:
+        env[name] = E.eval_env(e, env)
+    out = np.empty_like(pts)
+    for j, e in enumerate(components):
+        v = E.eval_env(e, env)
+        out[:, j] = v if np.ndim(v) else float(v)
+    return out
+
+
+def _allocating_rk4(field, pts, t0, t1, steps):
+    """RK4 before in-place stages: the textbook expressions on (N, 2n) points."""
+    h = (t1 - t0) / steps
+    x = pts.copy()
+    for n in range(steps):
+        t = t0 + n * h
+        k1 = _column_velocity(field, x, t)
+        k2 = _column_velocity(field, x + 0.5 * h * k1, t + 0.5 * h)
+        k3 = _column_velocity(field, x + 0.5 * h * k2, t + 0.5 * h)
+        k4 = _column_velocity(field, x + h * k3, t + h)
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if np.abs(x).max() > F.SAFETY_RADIUS:
+            raise BlowUp("tracer left the safety box")
+    return x
+
+
+def _gaussian(amp, cx, cy):
+    return apath(f"{amp}*exp(-((x1 - {cx})^2 + (y1 - {cy})^2)/1.28)*(1 + 0.5*sin(3*t))")
+
+
+def _oracle_cases():
+    """(name, path, points, tolerances) to integrate with both integrators.
+
+    Both components of the shift 2*x1 evaluate to scalars, as do the extra
+    axes of the wider cloud. The corpus paths run without tol: their estimate
+    is still above 1e-5 at the last doubling (1024 steps), so a tol run would
+    take seconds each.
+    """
+    rng = np.random.default_rng(7)
+    plane = rng.uniform(-2.0, 2.0, (200, 2))
+    g1, g2, g3 = _gaussian(0.9, 0.3, -0.2), _gaussian(-0.9, -0.5, 0.6), _gaussian(0.9, 0.1, 0.7)
+    after_g1 = F.integrate(g1, F.TracerCloud(plane), 64).final.points
+    grid4 = Grid.box([-2.0] * 4, [2.0] * 4, (4, 4, 4, 4))
+    four = hp.autonomous_path(E.parse("(x1^2 + y1^2)/2 + x1*x2*y2 + sin(y1)*x2^2/4"), 4, grid4)
+    both = (None, 1e-8)
+    corpus_rng = np.random.default_rng(42)
+    return [("shift", apath("2*x1"), plane, both),
+            ("oscillator", apath("(x1^2 + y1^2)/2"), plane, both),
+            ("gauss", g1, plane, both), ("gauss", g2, plane, both),
+            ("spliced", hp.concatenate(g2, g3), plane, both),
+            ("reverse", hp.reverse(g1), after_g1, both),
+            ("4-D", four, rng.uniform(-1.0, 1.0, (50, 4)), both),
+            ("wider cloud", g1, rng.uniform(-1.0, 1.0, (50, 6)), both),
+            ("one tracer", g2, np.array([[0.4, -0.3]]), both)] + [
+        (f"corpus{i}", corpus.random_path(corpus_rng), rng.uniform(-1.5, 1.5, (60, 2)), (None,))
+        for i in range(5)]
+
+
+def test_rows_and_in_place_stages_match_the_column_integrator(monkeypatch):
+    # coordinate rows and in-place stages change no value: the final points and
+    # the stats equal those of the column velocity with allocating stages
+    for name, f, pts, tols in _oracle_cases():
+        cloud = F.TracerCloud(pts)
+        for tol in tols:
+            got = F.integrate(f, cloud, 16, tol=tol)
+            with monkeypatch.context() as m:
+                m.setattr(F, "_velocity", _column_velocity)
+                m.setattr(F, "_rk4", _allocating_rk4)
+                want = F.integrate(f, cloud, 16, tol=tol)
+            assert got.final.points.flags.c_contiguous, name
+            assert np.array_equal(got.final.points, want.final.points), (name, tol)
+            assert got.stats == want.stats, (name, tol)
 
 
 def test_c0_distance_examples():
@@ -118,11 +196,26 @@ def test_displaced_shifted_ball():
     assert cert.samples == cloud.points.shape[0]
 
 
-def test_displaced_blocked_margin_matches_unblocked():
-    cloud = _ball_cloud(0.5, n=F.DISPLACED_BLOCK + 300, seed=1)
+def test_displaced_blocked_margin_matches_unblocked(monkeypatch):
+    # 500 region tracers take DISPLACED_BLOCK // 500 = 32 rows per block: 16
+    # blocks, the last one short; the margin equals the unblocked minimum
+    n = 500
+    per_block = F.DISPLACED_BLOCK // n
+    assert n > 4 * per_block and n % per_block
+    blocks = []
+    squared = F._squared_distances
+
+    def recording(rows, cols):
+        blocks.append(len(rows) * len(cols))
+        return squared(rows, cols)
+
+    monkeypatch.setattr(F, "_squared_distances", recording)
+    cloud = _ball_cloud(0.5, n=n, seed=1)
     fm = F.integrate(apath("2*x1"), cloud, 16)
     cert = F.displaced(fm, ball_region([0.0, 0.0], 0.5))
-    assert cert.samples > F.DISPLACED_BLOCK
+    assert cert.samples == n
+    assert len(blocks) == -(-n // per_block) and sum(blocks) == n * n
+    assert max(blocks) <= F.DISPLACED_BLOCK
     a0, a1 = fm.initial.points, fm.final.points
     d2 = np.sum((a1[:, None, :] - a0[None, :, :]) ** 2, axis=-1)
     assert cert.margin == float(np.sqrt(d2.min()))
@@ -130,14 +223,30 @@ def test_displaced_blocked_margin_matches_unblocked():
     # axes, so the margin sums squares over every axis
     for dim in (4, 6):
         rng = np.random.default_rng(dim)
-        pts = rng.uniform(-0.3, 0.3, (4 * F.DISPLACED_BLOCK, dim))
-        pts = pts[np.linalg.norm(pts, axis=1) < 0.5][:F.DISPLACED_BLOCK + 300]
+        pts = rng.uniform(-0.3, 0.3, (4 * n, dim))
+        pts = pts[np.linalg.norm(pts, axis=1) < 0.5][:n]
         fm = F.integrate(apath("2*x1"), F.TracerCloud(pts), 16)
         cert = F.displaced(fm, ball_region(np.zeros(dim), 0.5))
-        assert cert.samples == F.DISPLACED_BLOCK + 300 and cert.displaced
+        assert cert.samples == n and cert.displaced
         a0, a1 = fm.initial.points, fm.final.points
         d2 = np.sum((a1[:, None, :] - a0[None, :, :]) ** 2, axis=-1)
         assert cert.margin == float(np.sqrt(d2.min()))
+
+
+def test_displaced_returns_before_any_distance_when_one_tracer_stays(monkeypatch):
+    cloud = _ball_cloud(0.5, n=500, seed=2)
+    region = ball_region([0.0, 0.0], 0.5)
+    moved = cloud.points + [0.0, 2.0]
+    assert F.displaced(F.FlowMap(cloud, F.TracerCloud(moved), "", {}), region).displaced
+    moved[137] = [0.1, -0.1]
+    assert region(moved).sum() == 1
+
+    def no_distances(rows, cols):
+        raise AssertionError("a distance was computed")
+
+    monkeypatch.setattr(F, "_squared_distances", no_distances)
+    cert = F.displaced(F.FlowMap(cloud, F.TracerCloud(moved), "", {}), region)
+    assert (cert.displaced, cert.margin, cert.samples) == (False, 0.0, 500)
 
 
 def test_blow_up_guard(monkeypatch):
@@ -147,6 +256,17 @@ def test_blow_up_guard(monkeypatch):
     monkeypatch.setattr(F, "SAFETY_RADIUS", 10.0)
     with pytest.raises(BlowUp):
         F.integrate(f, cloud, 64)
+
+
+def test_nan_tracer_raises_blow_up():
+    # at x1 = 30, exp(x1^2)*exp(-x1^2) is inf*0 = NaN, and a NaN coordinate
+    # fails the safety check as a far one does, with or without tol
+    f = apath("exp(x1^2)*exp(-x1^2)*y1")
+    cloud = F.TracerCloud(np.array([[30.0, 0.5], [0.1, 0.2]]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for tol in (None, 1e-8):
+            with pytest.raises(BlowUp, match="NaN"):
+                F.integrate(f, cloud, 16, tol=tol)
 
 
 def test_error_estimate_and_auto_doubling():
