@@ -30,21 +30,14 @@ from ..errors import ParameterOutOfRange
 
 K0_NOTE = "for k=0 the constant can be chosen as 128"
 
-ENTRY_ORDER = (
-    "quasi_triangle", "coarse_quasi_triangle", "commutator", "commutator_energy",
-    "sandwich_low", "hofer_C", "sikorav_C", "bi_bound", "r_alpha_bound",
-    "estimate_lemma", "disjoint_product",
-)
-
-
 @dataclass(frozen=True)
 class ConstantsLedger:
     k: int
-    entries: dict                  # name -> int | Fraction
+    entries: dict                  # name -> int | Fraction, in the order constants() lists them
     note: str = None
 
     def as_rows(self):
-        return [(name, self.entries[name]) for name in ENTRY_ORDER]
+        return list(self.entries.items())
 
     def to_json(self):
         out = {"k": self.k, "entries": {}}
@@ -68,7 +61,7 @@ class ConstantsLedger:
         return out.getvalue()
 
     def format_table(self):
-        width = max(len(n) for n in ENTRY_ORDER)
+        width = max(map(len, self.entries))
         lines = [f"k = {self.k}"]
         for name, value in self.as_rows():
             lines.append(f"  {name:<{width}}  {value}")

@@ -35,8 +35,6 @@ import numpy as np
 
 from .. import expr as ex
 from ..errors import ParameterOutOfRange
-from ..grid import Grid
-from ..hampath import HamiltonianPath, autonomous_path
 from ..lengths import gauss_legendre_panels
 
 
@@ -72,11 +70,6 @@ class ShellFamilySpec:
             h = ex.sub(h, shifted)
         return h
 
-    def path(self) -> HamiltonianPath:
-        hi = 2.0 + MIRROR_OFFSET if self.closed_mode else 2.0
-        grid = Grid.box([-2.0, -2.0], [hi, 4.0], (32, 32))
-        return autonomous_path(self.hamiltonian(), 2, grid)
-
 
 def shell_lp_norm(spec: ShellFamilySpec, expressions, pairs, t: float) -> list:
     """L_p norms of shell-supported expressions at time t, by polar quadrature.
@@ -92,6 +85,7 @@ def shell_lp_norm(spec: ShellFamilySpec, expressions, pairs, t: float) -> list:
     theta = np.linspace(0.0, 2.0 * np.pi, THETA_SAMPLES, endpoint=False)
     w_theta = 2.0 * np.pi / THETA_SAMPLES
     cos_theta, sin_theta = np.cos(theta), np.sin(theta)
+    x1, y1 = ex.coordinates(2)
     assignments, rewritten = ex.share_subtrees(expressions)
     integrands = np.empty((len(pairs), len(rho), THETA_SAMPLES))
     rows = max(1, SHELL_BLOCK // THETA_SAMPLES)
@@ -101,7 +95,7 @@ def shell_lp_norm(spec: ShellFamilySpec, expressions, pairs, t: float) -> list:
             R = rho[start:start + rows, None]
             X = cx + R * cos_theta
             Y = 2.0 * t + R * sin_theta
-            env = {"x1": X.ravel(), "y1": Y.ravel(), "t": float(t)}
+            env = {x1: X.ravel(), y1: Y.ravel(), "t": float(t)}
             for name, e, _ in assignments:
                 env[name] = ex.eval_env(e, env)
             sizes = {}         # one expression's |v| at a time when pairs come sorted

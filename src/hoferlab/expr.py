@@ -28,7 +28,6 @@ from .errors import (DomainError, ExprSyntaxError, GradientUnavailable, Paramete
 MAX_DIFF_ORDER = 8
 
 _VAR_RE = re.compile(r"^(t|[xy][0-9]+)$")
-_FUNCTIONS = ("sin", "cos", "exp", "sqrt")
 
 
 class Expression:
@@ -211,6 +210,21 @@ def intpow(base, n):
             raise DomainError("0 raised to a negative power")
         return Const(base.value ** n)
     return IntPow(base, n)
+
+
+def _sqrt(u):
+    if np.any(np.asarray(u) < 0):
+        raise DomainError("sqrt of a negative value")
+    return np.sqrt(u)
+
+
+# the DSL's functions: name -> (numpy kernel, derivative f'(u) given the node e = f(u))
+_FUNCTIONS = {
+    "sin": (np.sin, lambda e: Call("cos", e.arg)),
+    "cos": (np.cos, lambda e: neg(Call("sin", e.arg))),
+    "exp": (np.exp, lambda e: e),
+    "sqrt": (_sqrt, lambda e: div(Const(0.5), Call("sqrt", e.arg))),
+}
 
 
 def call(func, arg):
@@ -455,18 +469,7 @@ def _diff_rule(e, name, d):
         inner = d(e.base)
         return mul(mul(Const(float(e.exponent)), intpow(e.base, e.exponent - 1)), inner)
     if isinstance(e, Call):
-        u, du = e.arg, d(e.arg)
-        if e.func == "sin":
-            outer = Call("cos", u)
-        elif e.func == "cos":
-            outer = neg(Call("sin", u))
-        elif e.func == "exp":
-            outer = e
-        elif e.func == "sqrt":
-            outer = div(Const(0.5), Call("sqrt", u))
-        else:
-            raise GradientUnavailable(f"no derivative rule for {e.func}")
-        return mul(outer, du)
+        return mul(_FUNCTIONS[e.func][1](e), d(e.arg))
     if isinstance(e, Step):
         return mul(Step(e.arg, e.inner, e.outer, e.deriv + 1), d(e.arg))
     raise GradientUnavailable(f"no derivative rule for node {type(e).__name__}")
@@ -609,7 +612,8 @@ def eval_env(e, env):
         return eval_env(e.left, env) * eval_env(e.right, env)
     if isinstance(e, Div):
         denom = eval_env(e.right, env)
-        if np.any(denom == 0):
+        # ``div`` refuses a constant zero, so only a computed denominator is tested
+        if not isinstance(e.right, Const) and np.any(denom == 0):
             raise DomainError("division by zero")
         return eval_env(e.left, env) / denom
     if isinstance(e, Neg):
@@ -620,17 +624,7 @@ def eval_env(e, env):
             raise DomainError("zero base with negative exponent")
         return base ** e.exponent
     if isinstance(e, Call):
-        arg = eval_env(e.arg, env)
-        if e.func == "sin":
-            return np.sin(arg)
-        if e.func == "cos":
-            return np.cos(arg)
-        if e.func == "exp":
-            return np.exp(arg)
-        if e.func == "sqrt":
-            if np.any(np.asarray(arg) < 0):
-                raise DomainError("sqrt of a negative value")
-            return np.sqrt(arg)
+        return _FUNCTIONS[e.func][0](eval_env(e.arg, env))
     if isinstance(e, Step):
         return step_values(eval_env(e.arg, env), e.inner, e.outer, e.deriv)
     raise TypeError(f"unknown node {e!r}")

@@ -224,11 +224,6 @@ class DisplacementCertificate:
     margin: float
     samples: int
 
-    def to_json(self):
-        return {"displaced": self.displaced, "margin": self.margin,
-                "samples": self.samples,
-                "note": "sampled certificate, not a rigorous displacement proof"}
-
 
 def displaced(flow: FlowMap, region_test) -> DisplacementCertificate:
     """Sampled certificate that the flow moves region A off itself.

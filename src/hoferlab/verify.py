@@ -1,7 +1,8 @@
 """Property-check suites behind ``hoferlab verify`` and the acceptance tests.
 
-Each check returns a plain dict: name, passed, measured values, tolerances.
-Suites are deterministic functions of the seed; the summary serializer is
+Each check takes one seed and returns a plain dict: passed, measured values,
+tolerances; ``run_suite`` adds the check's name from ``ALL_SUITE``, the one list
+of names. Suites are deterministic functions of the seed; the summary serializer is
 byte-stable so identical invocations produce identical summary.json files.
 """
 
@@ -23,12 +24,14 @@ CORE_SUITE = ("path_algebra_reverse", "path_algebra_concat", "path_algebra_repar
               "flow_shift", "flow_oscillator")
 ALL_SUITE = CORE_SUITE + ("square_displacement", "shell_decay", "half_space_shift",
                           "commutator")
+# the corpus that reverse, concat and monotonicity share through one SuiteSeed
+CORPUS_PATHS, CORPUS_ORDER = 50, 3
 
 
 class SuiteSeed(int):
     """A seed carrying what its suite's checks share; ``run_suite`` makes one per run.
 
-    ``lengths`` maps (seed, count, k, path index) to the per-order floats of
+    ``lengths`` maps (seed, path count, order, path index) to the per-order floats of
     ``length_k`` of a corpus path. A check given a plain int shares nothing.
     """
 
@@ -38,7 +41,7 @@ class SuiteSeed(int):
         return obj
 
 
-def _corpus_paths(seed, count=50):
+def _corpus_paths(seed, count):
     rng = np.random.default_rng(seed)
     return [corpus.random_path(rng) for _ in range(count)]
 
@@ -55,21 +58,23 @@ def _corpus_lengths(seed, paths, k):
     return out
 
 
-def check_path_algebra_reverse(seed, count=50, k=3):
-    paths = _corpus_paths(seed, count)
+def check_path_algebra_reverse(seed):
+    k = CORPUS_ORDER
+    paths = _corpus_paths(seed, CORPUS_PATHS)
     worst = 0.0
     for f, a in zip(paths, _corpus_lengths(seed, paths, k)):
         b = ln.length_k(hp.reverse(f), k, time_samples=10).per_order
         # per-order equality gives equality of every partial length k' <= k
         for i in range(k + 1):
             worst = max(worst, abs(a[i] - b[i]) / max(a[i], 1e-300))
-    return {"name": "path_algebra_reverse", "passed": worst <= 1e-9,
-            "measured": {"max_rel_dev": worst, "paths": count, "k": k},
+    return {"passed": worst <= 1e-9,
+            "measured": {"max_rel_dev": worst, "paths": len(paths), "k": k},
             "tolerance": 1e-9}
 
 
-def check_path_algebra_concat(seed, count=50, k=3):
-    paths = _corpus_paths(seed, count)
+def check_path_algebra_concat(seed):
+    k = CORPUS_ORDER
+    paths = _corpus_paths(seed, CORPUS_PATHS)
     lengths = _corpus_lengths(seed, paths, k)
     worst = 0.0
     for f, g, rf, rg in zip(paths[::2], paths[1::2], lengths[::2], lengths[1::2]):
@@ -77,14 +82,14 @@ def check_path_algebra_concat(seed, count=50, k=3):
         for i in range(k + 1):
             want = 2.0 ** i * (rf[i] + rg[i])
             worst = max(worst, abs(rc[i] - want) / max(want, 1e-300))
-    return {"name": "path_algebra_concat", "passed": worst <= 1e-9,
-            "measured": {"max_rel_dev": worst, "pairs": count // 2, "k": k},
+    return {"passed": worst <= 1e-9,
+            "measured": {"max_rel_dev": worst, "pairs": len(paths) // 2, "k": k},
             "tolerance": 1e-9}
 
 
-def check_path_algebra_reparam(seed, count=50):
+def check_path_algebra_reparam(seed):
     rng = np.random.default_rng(seed + 1)
-    worst = 0.0
+    worst, count = 0.0, 50
     for _ in range(count):
         f = corpus.random_path(rng, smooth=True)
         s = corpus.random_time_change(rng)
@@ -92,41 +97,41 @@ def check_path_algebra_reparam(seed, count=50):
         a = ln.length_k(f, 0, time_samples=30).total
         b = ln.length_k(g, 0, time_samples=30).total
         worst = max(worst, abs(a - b) / max(a, 1e-300))
-    return {"name": "path_algebra_reparam", "passed": worst <= 1e-8,
+    return {"passed": worst <= 1e-8,
             "measured": {"max_rel_dev": worst, "paths": count}, "tolerance": 1e-8}
 
 
-def check_monotonicity(seed, count=50, k=3):
-    lengths = _corpus_lengths(seed, _corpus_paths(seed, count), k)
+def check_monotonicity(seed):
+    lengths = _corpus_lengths(seed, _corpus_paths(seed, CORPUS_PATHS), CORPUS_ORDER)
     min_term = min(min(per_order) for per_order in lengths)
-    return {"name": "monotonicity", "passed": bool(min_term >= 0.0),
+    return {"passed": bool(min_term >= 0.0),
             "measured": {"min_per_order_term": float(min_term)}, "tolerance": 0.0}
 
 
-def check_coarse_dominates(seed, count=25, k=2):
-    paths = _corpus_paths(seed + 2, count)
-    worst = -np.inf
-    for f in paths:
+def check_coarse_dominates(seed):
+    worst, k = -np.inf, 2
+    for f in _corpus_paths(seed + 2, 25):
         a = ln.length_k(f, k, time_samples=10).total
         b = ln.coarse_length_k(f, k, time_samples=65).total
         worst = max(worst, a - b)
-    return {"name": "coarse_dominates", "passed": worst <= 1e-12,
+    return {"passed": worst <= 1e-12,
             "measured": {"max_integral_minus_sup": float(worst)}, "tolerance": 1e-12}
 
 
-def check_lp_quasinorm(seed, trials=40, p=0.5):
+def check_lp_quasinorm(seed):
     rng = np.random.default_rng(seed + 3)
     g = gr.Grid.box([-1.0, -1.0], [1.0, 1.0], (12, 12))
     n, vol = int(np.prod(g.resolution)), g.cell_volume
+    p = 0.5
     kp = 2.0 ** ((1.0 - p) / p)
     worst = -np.inf
-    for _ in range(trials):
+    for _ in range(40):
         f1 = rng.normal(size=n)
         f2 = rng.normal(size=n)
         lhs = gr.lp_norm(f1 + f2, p, vol)
         rhs = kp * (gr.lp_norm(f1, p, vol) + gr.lp_norm(f2, p, vol))
         worst = max(worst, lhs - rhs)
-    return {"name": "lp_quasinorm", "passed": worst <= 1e-12,
+    return {"passed": worst <= 1e-12,
             "measured": {"max_violation": float(worst), "constant": kp, "p": p},
             "tolerance": 1e-12}
 
@@ -170,7 +175,7 @@ def _snowflake_single(group, w, checks):
     return res
 
 
-def check_snowflake(seed, weights_per_group=20):
+def check_snowflake(seed):
     rng = np.random.default_rng(seed + 4)
     groups = [("Z4", sf.cyclic_group(4)), ("Z5", sf.cyclic_group(5)),
               ("Z6", sf.cyclic_group(6)), ("S3", sf.symmetric_group(3)),
@@ -179,7 +184,7 @@ def check_snowflake(seed, weights_per_group=20):
               "zero_sets": True, "class_fn": True, "dk_sandwich": -np.inf,
               "alpha_agreement": 0.0}
     for _, group in groups:
-        for j in range(weights_per_group):
+        for j in range(20):
             flavor = ("generic", "symmetric", "class")[j % 3]
             w = corpus.random_weights(rng, group, flavor)
             res = _snowflake_single(group, w, checks)
@@ -207,7 +212,7 @@ def check_snowflake(seed, weights_per_group=20):
               checks["beta_subadd"] <= 1e-12 and checks["zero_sets"] and
               checks["class_fn"] and checks["dk_sandwich"] <= 1e-12 and
               checks["alpha_agreement"] <= 1e-15)
-    return {"name": "snowflake", "passed": bool(passed),
+    return {"passed": bool(passed),
             "measured": {k: (v if isinstance(v, bool) else float(v))
                          for k, v in checks.items()},
             "tolerance": 1e-12}
@@ -223,7 +228,7 @@ def check_constants_anchors(seed=None):
     k1_ok = (led1.entries["quasi_triangle"] == 2 and
              led1.entries["commutator"] == 4 and
              led1.entries["bi_bound"] == 32)
-    return {"name": "constants_anchors", "passed": bool(anchors_ok and k1_ok),
+    return {"passed": bool(anchors_ok and k1_ok),
             "measured": {"hofer_C_k0": led0.entries["hofer_C"],
                          "sikorav_C_k0": led0.entries["sikorav_C"],
                          "bi_bound_k0": led0.entries["bi_bound"],
@@ -240,12 +245,12 @@ def _bump_path_in_box(rng, center, grid):
     return hp.HamiltonianPath((hp.Piece(0.0, 1.0, h),), 2, grid)
 
 
-def check_disjoint_bound(seed, configs=20):
+def check_disjoint_bound(seed):
     rng = np.random.default_rng(seed + 5)
     grid = gr.Grid.box([-4.0, -4.0], [4.0, 4.0], (36, 36))
     centers = [(-2.6, -2.6), (0.0, 0.0), (2.6, 2.6)]
     worst_ratio = -np.inf
-    ok = True
+    ok, configs = True, 20
     for j in range(configs):
         m = 2 + (j % 2)
         k = j % 3
@@ -254,12 +259,12 @@ def check_disjoint_bound(seed, configs=20):
         rep = disjoint_bound_check(paths, boxes, k, grid, time_samples=33)
         ok = ok and rep.ok()
         worst_ratio = max(worst_ratio, rep.ratio)
-    return {"name": "disjoint_bound", "passed": bool(ok),
+    return {"passed": bool(ok),
             "measured": {"max_ratio": float(worst_ratio), "configs": configs},
             "tolerance": 1.0}
 
 
-def check_hofer_like(seed, count=20):
+def check_hofer_like(seed):
     rng = np.random.default_rng(seed + 6)
     grid = corpus.TORUS_GRID
     # pure constant-coefficient path: total 1 for every k
@@ -269,7 +274,7 @@ def check_hofer_like(seed, count=20):
                  for k in range(4)]
     # reparametrization invariance of the order-0 value
     worst_reparam = 0.0
-    for _ in range(count):
+    for _ in range(20):
         phi = corpus.random_torus_path(rng, smooth=True)
         s = corpus.random_time_change(rng)
         phi2 = hp.reparametrize(phi, s)
@@ -277,15 +282,15 @@ def check_hofer_like(seed, count=20):
         b = ln.hofer_like_length_k(phi2, 0, time_samples=30).total
         worst_reparam = max(worst_reparam, abs(a - b) / max(a, 1e-300))
     passed = max(pure_devs) <= 1e-12 and worst_reparam <= 1e-8
-    return {"name": "hofer_like", "passed": bool(passed),
+    return {"passed": bool(passed),
             "measured": {"pure_harmonic_dev": float(max(pure_devs)),
                          "max_reparam_rel_dev": float(worst_reparam)},
             "tolerance": 1e-8}
 
 
-def check_flux(seed, count=20):
+def check_flux(seed):
     rng = np.random.default_rng(seed + 7)
-    worst = -np.inf
+    worst, count = -np.inf, 20
     for _ in range(count):
         phi = corpus.random_torus_path(rng)
         fx = ln.flux_harmonic(phi)
@@ -299,7 +304,7 @@ def check_flux(seed, count=20):
             0, time_samples=30)
         harmonic_integral = rep.total - u_only.total
         worst = max(worst, float(np.abs(fx).sum() - harmonic_integral))
-    return {"name": "flux", "passed": worst <= 1e-8,
+    return {"passed": worst <= 1e-8,
             "measured": {"max_violation": float(worst), "paths": count},
             "tolerance": 1e-8}
 
@@ -310,7 +315,7 @@ def check_flow_shift(seed=None):
     cloud = fl.TracerCloud(np.array([[0.3, -1.2], [1.0, 2.0], [-0.5, 0.25]]))
     fm = fl.integrate(f, cloud, 64)
     err = float(np.abs(fm.final.points - (cloud.points + [0.0, 2.0])).max())
-    return {"name": "flow_shift", "passed": err <= 1e-10,
+    return {"passed": err <= 1e-10,
             "measured": {"max_error": err}, "tolerance": 1e-10}
 
 
@@ -324,7 +329,7 @@ def check_flow_oscillator(seed=None):
     err256 = float(np.abs(fl.integrate(f, cloud, 256).final.points - exact).max())
     err128 = float(np.abs(fl.integrate(f, cloud, 128).final.points - exact).max())
     order = float(np.log2(err128 / err256)) if err256 > 0 else 4.0
-    return {"name": "flow_oscillator", "passed": err256 <= 1e-8 and order >= 3.7,
+    return {"passed": err256 <= 1e-8 and order >= 3.7,
             "measured": {"error_256": err256, "observed_order": order},
             "tolerance": 1e-8}
 
@@ -341,7 +346,7 @@ def check_square_displacement(seed=None):
         except Exception as err:  # noqa: BLE001 - report, then fail the check
             results[str(c)] = {"error": str(err)}
             ok = False
-    return {"name": "square_displacement", "passed": bool(ok),
+    return {"passed": bool(ok),
             "measured": results, "tolerance": 0.02}
 
 
@@ -362,7 +367,7 @@ def check_shell_decay(seed=None):
         ok = ok and dev <= 0.15 and decreasing and tail
     rows["control_i2_p1"] = {"slope": control.slopes[2]}
     ok = ok and control.slopes[2] >= 0.0
-    return {"name": "shell_decay", "passed": bool(ok), "measured": rows,
+    return {"passed": bool(ok), "measured": rows,
             "tolerance": 0.15}
 
 
@@ -379,7 +384,7 @@ def check_half_space_shift(seed=None):
         b = ln.length_k(g2, k, grid, time_samples=10).total
         dev = max(dev, abs(a - b) / max(a, 1e-300))
     passed = cert.ok() and dev <= 1e-6
-    return {"name": "half_space_shift", "passed": bool(passed),
+    return {"passed": bool(passed),
             "measured": {"fixed_error": cert.fixed_error,
                          "shift_error": cert.shift_error,
                          "conjugation_rel_dev": dev},
@@ -412,7 +417,7 @@ def check_commutator(seed=None):
     comm_fl = commutator_tracer_flow(f1, f2, cloud)
     disjoint_err = float(np.abs(comm_fl.final.points - cloud.points).max())
     passed = comm_id.ok() and id_err <= 1e-7 and rot_ok and disjoint_err <= 1e-7
-    return {"name": "commutator", "passed": bool(passed),
+    return {"passed": bool(passed),
             "measured": {"identity_flow_error": id_err,
                          "rotation_bound_ratio": comm_rot.length_commutator /
                                                  max(comm_rot.bound, 1e-300),
@@ -420,31 +425,14 @@ def check_commutator(seed=None):
             "tolerance": 1e-7}
 
 
-CHECKS = {
-    "path_algebra_reverse": check_path_algebra_reverse,
-    "path_algebra_concat": check_path_algebra_concat,
-    "path_algebra_reparam": check_path_algebra_reparam,
-    "monotonicity": check_monotonicity,
-    "coarse_dominates": check_coarse_dominates,
-    "lp_quasinorm": check_lp_quasinorm,
-    "snowflake": check_snowflake,
-    "constants_anchors": check_constants_anchors,
-    "disjoint_bound": check_disjoint_bound,
-    "hofer_like": check_hofer_like,
-    "flux": check_flux,
-    "flow_shift": check_flow_shift,
-    "flow_oscillator": check_flow_oscillator,
-    "square_displacement": check_square_displacement,
-    "shell_decay": check_shell_decay,
-    "half_space_shift": check_half_space_shift,
-    "commutator": check_commutator,
-}
+# each value is the module's own check function, which perfbench's tracer wraps by name
+CHECKS = {name: globals()["check_" + name] for name in ALL_SUITE}
 
 
 def run_suite(suite="core", seed=42):
     names = CORE_SUITE if suite == "core" else ALL_SUITE
     shared = SuiteSeed(seed)
-    results = [CHECKS[name](shared) for name in names]
+    results = [{"name": name, **CHECKS[name](shared)} for name in names]
     return {
         "suite": suite,
         "seed": seed,

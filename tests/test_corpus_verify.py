@@ -101,15 +101,47 @@ def test_run_suite_shares_values_without_changing_a_check(monkeypatch):
     calls.clear()
     summary = verify.run_suite("core", 42)
     assert calls == list(verify.CORE_SUITE)
-    assert summary["checks"] == [alone[name] for name in verify.CORE_SUITE]
+    assert summary["checks"] == [{"name": n, **alone[n]} for n in verify.CORE_SUITE]
     # one store across two seeds and two orders still gives each check its own values
+    monkeypatch.setattr(verify, "CORPUS_PATHS", 6)
+    monkeypatch.setattr(verify, "CORPUS_ORDER", 2)
     first = verify.SuiteSeed(7)
-    verify.check_monotonicity(first, count=6, k=2)
+    verify.check_monotonicity(first)
     shared = verify.SuiteSeed(42)
     shared.lengths = first.lengths
     for k in (2, 3):
+        monkeypatch.setattr(verify, "CORPUS_ORDER", k)
         for check in (verify.check_monotonicity, verify.check_path_algebra_reverse,
                       verify.check_path_algebra_concat):
-            assert check(shared, count=6, k=k) == check(42, count=6, k=k)
+            assert check(shared) == check(42)
     assert all(isinstance(v, float) for per_order in shared.lengths.values()
                for v in per_order)
+
+
+@pytest.mark.parametrize("corpus_size, want", [(None, [100, 25, 0]), ((6, 2), [12, 3, 0])],
+                         ids=["defaults", "six_paths"])
+def test_the_corpus_checks_share_one_set_of_lengths(monkeypatch, corpus_size, want):
+    # with one SuiteSeed, reverse measures the corpus paths and their reversals,
+    # concat only its splices, and monotonicity nothing new; a check that sized
+    # its corpus other than by CORPUS_PATHS and CORPUS_ORDER would measure more
+    if corpus_size:
+        monkeypatch.setattr(verify, "CORPUS_PATHS", corpus_size[0])
+        monkeypatch.setattr(verify, "CORPUS_ORDER", corpus_size[1])
+    calls = []
+    length_k = verify.ln.length_k
+    monkeypatch.setattr(verify.ln, "length_k",
+                        lambda *a, **kw: calls.append(1) or length_k(*a, **kw))
+    shared = verify.SuiteSeed(42)
+    counts = []
+    for name in ("path_algebra_reverse", "path_algebra_concat", "monotonicity"):
+        verify.CHECKS[name](shared)
+        counts.append(len(calls))
+        calls.clear()
+    assert counts == want
+
+
+def test_checks_are_named_once_in_the_suite_tuples():
+    assert list(verify.CHECKS) == list(verify.ALL_SUITE)
+    assert verify.ALL_SUITE[:len(verify.CORE_SUITE)] == verify.CORE_SUITE
+    for name, check in verify.CHECKS.items():
+        assert check is getattr(verify, "check_" + name)

@@ -12,11 +12,15 @@ form one layer and may import each other.
 
 Only ``cli`` opens files: the library takes and returns text and objects.
 Only ``cli`` and ``flow`` (``StepErrorWarning``) call ``warnings.warn``.
+Every ``verify.check_*`` takes one parameter, the seed.
 """
 
 import ast
+import inspect
 import pathlib
 import sys
+
+from hoferlab import verify
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "hoferlab"
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "hoferlab"}
@@ -102,4 +106,14 @@ def test_only_the_cli_and_flow_warn():
     # the length functions never warn; the CLI warns on outside input and the
     # flow on a missed step-error tolerance
     bad = calls_outside("warn", ("cli.py", "flow.py"))
+    assert not bad, bad
+
+
+def test_every_verify_check_takes_one_seed():
+    # run_suite, perfbench's VerifyAll and its tracer all forward exactly one argument
+    checks = {name: fn for name, fn in vars(verify).items()
+              if name.startswith("check_") and inspect.isfunction(fn)}
+    assert len(checks) == len(verify.ALL_SUITE)
+    bad = [name for name, fn in checks.items()
+           if len(inspect.signature(fn).parameters) != 1]
     assert not bad, bad

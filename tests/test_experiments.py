@@ -152,8 +152,8 @@ def test_shell_requests_share_one_pass(closed, coarse_angles, monkeypatch):
 
 def test_shell_path_displaces_unit_disc():
     # the induced flow moves the unit disc off itself for modest m
-    spec = ShellFamilySpec(2)
-    path = spec.path()
+    grid = Grid.box([-2.0, -2.0], [2.0, 4.0], (32, 32))
+    path = hp.autonomous_path(ShellFamilySpec(2).hamiltonian(), 2, grid)
     rng = np.random.default_rng(3)
     pts = rng.uniform(-1.0, 1.0, (600, 2))
     pts = pts[np.linalg.norm(pts, axis=1) < 0.995][:250]

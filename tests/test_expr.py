@@ -222,6 +222,14 @@ def test_division_guard():
         E.evaluate(e, [(1.0, 0.0)], 0.0)
     with pytest.raises(DomainError):
         E.parse("1/0")
+    with pytest.raises(DomainError):
+        E.div(E.Var("x1"), E.const(0))
+    # a denominator that is not a constant is tested on every evaluation
+    zero = E.parse("x1/(x1 - x1)")
+    with pytest.raises(DomainError):
+        E.evaluate(zero, [(1.0, 0.0)], 0.0)
+    with pytest.raises(DomainError):
+        list(E.eval_over_time([zero], [(1.0, 0.0)], [0.0, 0.5]))
 
 
 def test_sqrt_domain():
