@@ -181,14 +181,15 @@ def cmd_flow(args):
     path = _resolve_path_argument(args, HamiltonianPath.from_json)
     cloud = _from_spec(fl.TracerCloud.from_csv, _read(args.cloud, "cloud"),
                        f"cloud file {args.cloud}", "cloud")
-    fm = _in_range(lambda: fl.integrate(path, cloud, args.steps),
-                   {"steps_per_piece": "--steps"}.get)
+    fm = _in_range(lambda: fl.integrate(path, cloud, args.steps, args.tol),
+                   {"steps_per_piece": "--steps", "tol": "--tol"}.get)
     if args.out_prefix:
         _write(args.out_prefix + ".final.csv", fm.final.to_csv())
         _write(args.out_prefix + ".initial.csv", fm.initial.to_csv())
         _write(args.out_prefix + ".stats.json", fm.stats_json() + "\n")
     _emit({"stats": fm.stats, "path_hash": fm.path_hash}, args.out)
-    return EXIT_OK
+    missed = args.tol is not None and fm.stats["max_step_error"] > args.tol
+    return EXIT_CHECK_FAILED if missed else EXIT_OK
 
 
 def _int_list(text):
@@ -359,6 +360,9 @@ def build_parser():
     p.add_argument("--grid", default=None, help="grid JSON (with --hamiltonian)")
     p.add_argument("--cloud", required=True, help="tracer CSV file")
     p.add_argument("--steps", type=int, default=512)
+    p.add_argument("--tol", type=float, default=None,
+                   help="double the steps of each tracer until its step-error estimate "
+                        "meets TOL; exit 1 if one still misses it")
     p.add_argument("--out", default=None)
     p.add_argument("--out-prefix", default=None)
     p.set_defaults(func=cmd_flow)

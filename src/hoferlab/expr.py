@@ -34,28 +34,28 @@ class Expression:
     """Base node. Subclasses are frozen dataclasses; trees compare structurally."""
 
     def __add__(self, other):
-        return add(self, _as_expr(other))
+        return add(self, other)
 
     def __radd__(self, other):
-        return add(_as_expr(other), self)
+        return add(other, self)
 
     def __sub__(self, other):
-        return sub(self, _as_expr(other))
+        return sub(self, other)
 
     def __rsub__(self, other):
-        return sub(_as_expr(other), self)
+        return sub(other, self)
 
     def __mul__(self, other):
-        return mul(self, _as_expr(other))
+        return mul(self, other)
 
     def __rmul__(self, other):
-        return mul(_as_expr(other), self)
+        return mul(other, self)
 
     def __truediv__(self, other):
-        return div(self, _as_expr(other))
+        return div(self, other)
 
     def __rtruediv__(self, other):
-        return div(_as_expr(other), self)
+        return div(other, self)
 
     def __neg__(self):
         return neg(self)
@@ -143,6 +143,7 @@ def const(v):
 
 
 def add(a, b):
+    a, b = _as_expr(a), _as_expr(b)
     if isinstance(a, Const) and isinstance(b, Const):
         return Const(a.value + b.value)
     if isinstance(a, Const) and a.value == 0.0:
@@ -153,6 +154,7 @@ def add(a, b):
 
 
 def sub(a, b):
+    a, b = _as_expr(a), _as_expr(b)
     if isinstance(a, Const) and isinstance(b, Const):
         return Const(a.value - b.value)
     if isinstance(b, Const) and b.value == 0.0:
@@ -163,6 +165,7 @@ def sub(a, b):
 
 
 def mul(a, b):
+    a, b = _as_expr(a), _as_expr(b)
     if isinstance(a, Const) and isinstance(b, Const):
         return Const(a.value * b.value)
     if isinstance(a, Const):
@@ -179,6 +182,7 @@ def mul(a, b):
 
 
 def div(a, b):
+    a, b = _as_expr(a), _as_expr(b)
     if isinstance(b, Const):
         if b.value == 0.0:
             raise DomainError("division by constant zero")

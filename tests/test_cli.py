@@ -13,7 +13,7 @@ from hoferlab import hampath as hp
 from hoferlab import lengths as ln
 from hoferlab import snowflake as sf
 from hoferlab.cli import SUBCOMMANDS, build_parser, main
-from hoferlab.errors import SupportMarginWarning
+from hoferlab.errors import StepErrorWarning, SupportMarginWarning
 from hoferlab.grid import Grid
 from hoferlab.hampath import HamiltonianPath
 
@@ -311,6 +311,35 @@ def test_flow_that_turns_nan_exits_one(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "NaN" in captured.err and captured.out == ""
     assert not (tmp_path / "o").exists()
+
+
+def test_flow_tol_doubles_each_tracer_and_exits_one_on_a_miss(tmp_path, capsys):
+    grid = grid_json(tmp_path, [-2.0, -2.0], [2.0, 2.0], [16, 16])
+    cloud = tmp_path / "cloud.csv"
+    cloud.write_text("x1,y1\n0.3,-0.2\n1.9,1.9\n-0.5,0.6\n")
+    gauss = ["--hamiltonian", "0.9*exp(-(x1^2+y1^2)/1.28)*(1+0.5*sin(3*t))",
+             "--grid", grid, "--cloud", str(cloud)]
+    prefix = str(tmp_path / "met")
+    assert run_cli("flow", *gauss, "--steps", "4", "--tol", "1e-8",
+                   "--out-prefix", prefix) == 0
+    stats = json.loads(capsys.readouterr().out)["stats"]
+    assert stats["max_step_error"] <= 1e-8 and stats["steps_per_piece"] > 4
+    assert json.loads((tmp_path / "met.stats.json").read_text()) == stats
+    # the fast rotation still misses 1e-12 after the last doubling: the outputs
+    # are written, the command warns and exits 1
+    prefix = str(tmp_path / "missed")
+    with pytest.warns(StepErrorWarning, match="misses tol 1e-12"):
+        code = run_cli("flow", "--hamiltonian", "20*(x1^2 + y1^2)/2", "--grid", grid,
+                       "--cloud", str(cloud), "--steps", "2", "--tol", "1e-12",
+                       "--out-prefix", prefix)
+    assert code == 1
+    stats = json.loads(capsys.readouterr().out)["stats"]
+    assert stats["max_step_error"] > 1e-12
+    assert (tmp_path / "missed.final.csv").exists()
+    for tol in ("nan", "inf", "0", "-1"):
+        assert run_cli("flow", *gauss, "--tol", tol) == 2
+        captured = capsys.readouterr()
+        assert "(at --tol)" in captured.err and captured.out == ""
 
 
 def test_snowflake_subcommand(tmp_path, capsys):

@@ -232,6 +232,18 @@ def test_division_guard():
         list(E.eval_over_time([zero], [(1.0, 0.0)], [0.0, 0.5]))
 
 
+def test_constructors_take_python_numbers_as_the_operators_do():
+    x = E.Var("x1")
+    with pytest.raises(DomainError):
+        E.div(x, 0)
+    twice = E.mul(x, 2)
+    assert twice == x * 2 == E.Mul(x, E.Const(2.0))
+    assert E.to_source(twice) == "x1*2"
+    assert E.eval_env(twice, {"x1": 1.5}) == 3.0
+    assert E.add(1, x) == 1 + x and E.sub(x, 1) == x - 1 and E.div(1, x) == 1 / x
+    assert E.mul(3, 0.5) == E.Const(1.5)
+
+
 def test_sqrt_domain():
     with pytest.raises(DomainError):
         E.evaluate(E.parse("sqrt(x1)"), [(-1.0, 0.0)], 0.0)

@@ -291,26 +291,81 @@ def test_one_step_per_piece_is_out_of_range():
 
 
 def test_doubling_reuses_the_previous_round(monkeypatch):
-    # each round's half-step run is the previous round's result
+    # each round runs the tracers whose own estimate still misses tol, at the
+    # doubled count, and takes their previous result as the half-step run
     f = hp.concatenate(apath("(x1*x1 + y1*y1)/2 + x1^4/8"), apath("2*x1"))
-    cloud = F.TracerCloud(np.array([[1.2, 0.0], [0.5, 0.9]]))
+    cloud = F.TracerCloud(np.array([[1.2, 0.0], [0.5, 0.9], [0.05, -0.1], [0.0, 0.0],
+                                    [-0.8, 0.6]]))
     counted = []
     rk4 = F._rk4
 
     def counting_rk4(field, pts, t0, t1, steps):
-        counted.append(steps)
+        counted.append((steps, len(pts)))
         return rk4(field, pts, t0, t1, steps)
 
     monkeypatch.setattr(F, "_rk4", counting_rk4)
     fm = F.integrate(f, cloud, 16, tol=1e-10)
-    last = fm.stats["steps_per_piece"]
-    assert last >= 64                       # at least two doublings
-    rounds = [16 * 2 ** r for r in range(int(np.log2(last // 16)) + 1)]
-    assert sum(counted) == 2 * (8 + sum(rounds))
-    assert sum(counted) != 2 * sum(s + s // 2 for s in rounds)
-    direct = F.integrate(f, cloud, last)
-    assert np.array_equal(fm.final.points, direct.final.points)
-    assert fm.stats["max_step_error"] == direct.stats["max_step_error"]
+    monkeypatch.setattr(F, "_rk4", rk4)
+    own = [F.integrate(f, F.TracerCloud(p[None]), 16, tol=1e-10).stats["steps_per_piece"]
+           for p in cloud.points]
+    assert max(own) == fm.stats["steps_per_piece"] >= 64     # at least two doublings
+    assert len(set(own)) > 2
+    for p, q, steps in zip(cloud.points, fm.final.points, own):
+        assert np.array_equal(q, F.integrate(f, F.TracerCloud(p[None]), steps).final.points[0])
+    # RK4 tracer-steps: every tracer runs 16 and 8, then each doubled count up
+    # to its own, through both pieces; the rounds shrink
+    want = 2 * sum(8 + sum(16 * 2 ** r for r in range(int(np.log2(c // 16)) + 1))
+                   for c in own)
+    assert sum(s * n for s, n in counted) == want
+    sizes = [n for _, n in counted[4::2]]
+    assert sizes == sorted(sizes, reverse=True) and sizes[-1] < len(own)
+
+
+def _global_doubling(f, cloud, steps, tol):
+    """Step doubling on the whole cloud until the worst tracer meets ``tol``."""
+    dim = cloud.points.shape[1]
+    fields = [(p.t_start, p.t_end, E.share_subtrees(F._gradient_field(p.hamiltonian, dim)))
+              for p in f.pieces]
+
+    def run(steps):
+        x = cloud.points
+        for t0, t1, vel in fields:
+            x = F._rk4(vel, x, t0, t1, steps)
+        return x
+
+    last = steps * 2 ** F.MAX_DOUBLINGS
+    final, half = run(steps), run(steps // 2)
+    while np.abs(final - half).max() > tol and steps < last:
+        steps *= 2
+        half, final = final, run(steps)
+    return final
+
+
+def test_per_tracer_doubling_agrees_with_the_global_loop_within_tol():
+    # each tracer's estimate bounds its distance to the global loop's more
+    # resolved point, and on the Gaussians to 1024-step RK4
+    tol = 1e-8
+    for name, f, pts, tols in _oracle_cases():
+        if tol not in tols:
+            continue
+        cloud = F.TracerCloud(pts)
+        got = F.integrate(f, cloud, 16, tol=tol)
+        assert got.stats["max_step_error"] <= tol, name
+        oracle = _global_doubling(f, cloud, 16, tol)
+        assert np.abs(got.final.points - oracle).max() <= tol, name
+        if name in ("gauss", "spliced", "reverse"):
+            fine = F.integrate(f, cloud, 1024).final.points
+            assert np.abs(got.final.points - fine).max() <= tol, name
+
+
+def test_tol_out_of_range_is_refused():
+    # a NaN tol would pass no tracer's test, nor stop the global loop
+    f = apath("(x1*x1 + y1*y1)/2")
+    cloud = F.TracerCloud(np.array([[1.0, 0.0]]))
+    for tol in (float("nan"), float("inf"), 0.0, -1.0):
+        with pytest.raises(ParameterOutOfRange) as err:
+            F.integrate(f, cloud, 16, tol=tol)
+        assert err.value.name == "tol"
 
 
 def test_missed_tolerance_warns():
