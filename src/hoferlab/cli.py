@@ -15,12 +15,14 @@ Subcommands map one-to-one onto the library surface:
     run          dispatch any of the above from a JSON config file
 
 Exit codes: 0 success, 1 a check failed, 2 invalid config, 3 I/O error.
-JSON in, JSON/CSV/.dat out; no binary formats.
+JSON in, JSON/CSV/.dat out; no binary formats. A report prints as its fields,
+plus ``ok`` when it has ``ok()``; a command with a verdict exits 1 unless ok.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -58,13 +60,20 @@ def _emit(obj, out=None):
 
 
 def _jsonable(v):
+    """The one report rule: a dataclass prints as its fields, plus ``ok`` if it has ``ok()``."""
     if isinstance(v, (np.floating, np.integer)):
         return v.item()
     if isinstance(v, np.ndarray):
         return v.tolist()
-    if hasattr(v, "to_json"):
-        return v.to_json()
+    if dataclasses.is_dataclass(v):
+        return {**vars(v), "ok": v.ok()} if hasattr(v, "ok") else vars(v)
     raise TypeError(f"not JSON serializable: {type(v)}")
+
+
+def _verdict(report, out):
+    """Print ``report`` and exit 1 unless it is ``ok()``."""
+    _emit(report, out)
+    return EXIT_OK if report.ok() else EXIT_CHECK_FAILED
 
 
 def _read(path, what):
@@ -159,7 +168,7 @@ def cmd_length(args):
         if t is not None:
             warnings.warn(f"path does not vanish on the box's outermost cell layer at t={t}; "
                           "the box may truncate its support", SupportMarginWarning)
-    _emit(rep.to_json(), args.out)
+    _emit(rep, args.out)
     if args.csv:
         _write(args.csv, rep.to_csv())
     return EXIT_OK
@@ -182,11 +191,11 @@ def cmd_flow(args):
     cloud = _from_spec(fl.TracerCloud.from_csv, _read(args.cloud, "cloud"),
                        f"cloud file {args.cloud}", "cloud")
     fm = _in_range(lambda: fl.integrate(path, cloud, args.steps, args.tol),
-                   {"steps_per_piece": "--steps", "tol": "--tol"}.get)
+                   {"steps_per_piece": "--steps", "tol": "--tol", "cloud": "--cloud"}.get)
     if args.out_prefix:
         _write(args.out_prefix + ".final.csv", fm.final.to_csv())
         _write(args.out_prefix + ".initial.csv", fm.initial.to_csv())
-        _write(args.out_prefix + ".stats.json", fm.stats_json() + "\n")
+        _write(args.out_prefix + ".stats.json", json.dumps(fm.stats, sort_keys=True) + "\n")
     _emit({"stats": fm.stats, "path_hash": fm.path_hash}, args.out)
     missed = args.tol is not None and fm.stats["max_step_error"] > args.tol
     return EXIT_CHECK_FAILED if missed else EXIT_OK
@@ -201,7 +210,7 @@ def cmd_gm(args):
     orders = _from_spec(_int_list, args.orders, "--orders", "--orders") if args.orders else None
     rep, = _in_range(lambda: shell_decay_report(m_values, [(args.k, args.p, orders)],
                                                 closed_mode=args.closed), "--{}".format)
-    _emit(rep.to_json(), args.out)
+    _emit(rep, args.out)
     if args.out_dir:
         os.makedirs(args.out_dir, exist_ok=True)
         _write(os.path.join(args.out_dir, "decay.csv"), rep.to_csv())
@@ -212,14 +221,12 @@ def cmd_gm(args):
 def cmd_displace(args):
     _, cert = _in_range(lambda: square_displacement(args.c, k_max=args.k_max),
                         {"area": "--c", "k_max": "--k-max"}.get)
-    _emit(cert.to_json(), args.out)
-    return EXIT_OK if cert.ok() else EXIT_CHECK_FAILED
+    return _verdict(cert, args.out)
 
 
 def cmd_shift(args):
     cert = _in_range(lambda: shift_certificate(args.v, args.eps), "--{}".format)
-    _emit(cert.to_json(), args.out)
-    return EXIT_OK if cert.ok() else EXIT_CHECK_FAILED
+    return _verdict(cert, args.out)
 
 
 def cmd_commutator(args):
@@ -229,8 +236,7 @@ def cmd_commutator(args):
                                                   np.array(s["shift"], dtype=float)),
                        spec, "affine map", "theta")
     rep = _in_range(lambda: commutator_bound_report(path, theta, args.k), "--{}".format)
-    _emit(rep.to_json(), args.out)
-    return EXIT_OK if rep.ok() else EXIT_CHECK_FAILED
+    return _verdict(rep, args.out)
 
 
 def cmd_constants(args):
@@ -256,8 +262,7 @@ def cmd_disjoint(args):
     boxes = _from_spec(lambda b: box_corners(paths, b), box_spec, "boxes", "$.boxes")
     k = _from_spec(int, k_spec, "k", "$.k")
     rep = _in_range(lambda: disjoint_bound_check(paths, boxes, k), lambda name: f"$.{name}")
-    _emit(rep.to_json(), args.out)
-    return EXIT_OK if rep.ok() else EXIT_CHECK_FAILED
+    return _verdict(rep, args.out)
 
 
 def cmd_snowflake(args):
@@ -283,9 +288,7 @@ def cmd_snowflake(args):
         res = _in_range(lambda: sf.sharp_fixed_exponent(group, k), {"k": "--mode"}.get)
     else:
         raise ConfigInvalid(f"unknown mode {mode!r} (use generic or dk:<k>)", "mode")
-    _emit({"C": res.C, "alpha": res.alpha,
-           "psi_sharp": res.psi_sharp.tolist(),
-           "witnesses": [list(w) for w in res.witnesses]}, args.out)
+    _emit(res, args.out)
     return EXIT_OK
 
 

@@ -57,10 +57,6 @@ class QuasiTriangleViolated(HoferLabError):
     """Weight fails the required relaxed triangle inequality."""
 
 
-class CertificateFailed(HoferLabError):
-    """A construction's numerical certificate did not hold."""
-
-
 class ConjugationUnsupported(HoferLabError):
     """Conjugation requested by a map that is not affine symplectic."""
 

@@ -44,11 +44,6 @@ class CommutatorBoundReport:
     def ok(self):
         return self.length_commutator <= self.bound * (1.0 + 1e-9) + 1e-9
 
-    def to_json(self):
-        return {"k": self.k, "length_f": self.length_f,
-                "length_commutator": self.length_commutator,
-                "bound": self.bound, "ok": self.ok()}
-
 
 def commutator_bound_report(f: HamiltonianPath, theta: AffineSymplectic, k: int,
                             grid=None) -> CommutatorBoundReport:

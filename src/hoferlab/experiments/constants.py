@@ -36,12 +36,9 @@ class ConstantsLedger:
     entries: dict                  # name -> int | Fraction, in the order constants() lists them
     note: str = None
 
-    def as_rows(self):
-        return list(self.entries.items())
-
     def to_json(self):
         out = {"k": self.k, "entries": {}}
-        for name, value in self.as_rows():
+        for name, value in self.entries.items():
             if isinstance(value, Fraction):
                 out["entries"][name] = {"numerator": value.numerator,
                                         "denominator": value.denominator}
@@ -54,7 +51,7 @@ class ConstantsLedger:
     def to_csv(self):
         out = io.StringIO()
         out.write("name,value\n")
-        for name, value in self.as_rows():
+        for name, value in self.entries.items():
             out.write(f"{name},{value}\n")
         if self.note:
             out.write(f"note,{self.note}\n")
@@ -63,7 +60,7 @@ class ConstantsLedger:
     def format_table(self):
         width = max(map(len, self.entries))
         lines = [f"k = {self.k}"]
-        for name, value in self.as_rows():
+        for name, value in self.entries.items():
             lines.append(f"  {name:<{width}}  {value}")
         if self.note:
             lines.append(f"  note: {self.note}")

@@ -32,12 +32,6 @@ class DisjointBoundReport:
     def ok(self):
         return self.product_total <= self.bound * (1.0 + 1e-9) + 1e-9
 
-    def to_json(self):
-        return {"k": self.k, "product_per_order": list(self.product_per_order),
-                "member_totals": list(self.member_totals),
-                "product_total": self.product_total, "bound": self.bound,
-                "ratio": self.ratio, "ok": self.ok()}
-
 
 def disjoint_bound_check(paths, boxes, k: int, grid=None,
                          time_samples: int = 65) -> DisjointBoundReport:

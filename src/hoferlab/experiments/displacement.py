@@ -16,6 +16,9 @@ generating function must be H = -eta(x1) * v * y1 for a rightward shift.
 The ramp eta is realized inside the DSL as a wide plateau cutoff equal to
 1 on [0, 2*window] and 0 left of -eps; certificates only sample the
 working window, far from the artificial right-hand falloff.
+
+Neither construction raises when its certificate fails: each returns the
+certificate, and its ``ok()`` says whether it holds.
 """
 
 from __future__ import annotations
@@ -28,9 +31,9 @@ import numpy as np
 from .. import expr as ex
 from .. import flow as fl
 from .. import lengths as ln
-from ..errors import CertificateFailed, ParameterOutOfRange
+from ..errors import ParameterOutOfRange
 from ..grid import Grid
-from ..hampath import AffineSymplectic, HamiltonianPath, autonomous_path, conjugate
+from ..hampath import HamiltonianPath, autonomous_path
 
 # half-width of the half-space shift's working window (the x1 ramp and its grid)
 SHIFT_WINDOW = 16.0
@@ -49,16 +52,11 @@ class SquareCertificate:
         return self.displaced and all(
             abs(v - self.area) <= self.tolerance * self.area for v in self.lengths.values())
 
-    def to_json(self):
-        return {"area": self.area, "lengths": {str(k): v for k, v in self.lengths.items()},
-                "displaced": self.displaced, "margin": self.margin,
-                "tolerance": self.tolerance, "ok": self.ok()}
-
 
 def square_displacement(area: float, k_max: int = 5):
     """Autonomous path displacing the open square of the given area.
 
-    Returns (path, certificate); raises CertificateFailed when either the
+    Returns (path, certificate); the certificate's ``ok()`` is false when the
     displacement or the length budget (2% of the area) fails.
     """
     if not 0 < area < math.inf:
@@ -89,11 +87,7 @@ def square_displacement(area: float, k_max: int = 5):
     cloud = fl.TracerCloud(pts)
     fm = fl.integrate(path, cloud, steps_per_piece=32)
     cert_flow = fl.displaced(fm, fl.box_region([0.0, 0.0], [a, a]))
-    cert = SquareCertificate(area, lengths, cert_flow.displaced,
-                             cert_flow.margin, 0.02)
-    if not cert.ok():
-        raise CertificateFailed(f"square displacement certificate failed: {cert.to_json()}")
-    return path, cert
+    return path, SquareCertificate(area, lengths, cert_flow.displaced, cert_flow.margin, 0.02)
 
 
 @dataclass(frozen=True)
@@ -106,11 +100,6 @@ class ShiftCertificate:
 
     def ok(self):
         return self.fixed_error < 1e-8 and self.shift_error < 1e-6
-
-    def to_json(self):
-        return {"v": self.v, "eps": self.eps, "fixed_error": self.fixed_error,
-                "shift_error": self.shift_error, "window": self.window,
-                "ok": self.ok()}
 
 
 def half_space_shift(v: float, eps: float) -> HamiltonianPath:
@@ -143,16 +132,3 @@ def shift_certificate(v: float, eps: float) -> ShiftCertificate:
     fixed_err = float(np.abs(fm_fixed.final.points - fixed_pts).max())
     shift_err = float(np.abs(fm_moved.final.points - (moved_pts + [v, 0.0])).max())
     return ShiftCertificate(v, eps, fixed_err, shift_err, SHIFT_WINDOW)
-
-
-def shift_conjugator(v: float, dimension: int = 2) -> AffineSymplectic:
-    """The affine restriction of the half-space shift on {x1 > 0}."""
-    shift = np.zeros(dimension)
-    shift[0] = v
-    return AffineSymplectic.translation(shift)
-
-
-def conjugate_by_shift(path: HamiltonianPath, v: float) -> HamiltonianPath:
-    """Conjugated path S g S^{-1} for g supported in {x1 > 0}, where the
-    conjugator acts there as the affine translation by (v, 0, ...)."""
-    return conjugate(path, shift_conjugator(v, path.dimension))

@@ -141,14 +141,6 @@ class ShellDecayReport:
             out.write(" ".join(repr(float(v)) for v in row) + "\n")
         return out.getvalue()
 
-    def to_json(self):
-        return {"m_values": list(self.m_values), "p": self.p, "k": self.k,
-                "max_norms": {str(i): list(v) for i, v in self.max_norms.items()},
-                "integrals": {str(i): list(v) for i, v in self.integrals.items()},
-                "totals": list(self.totals),
-                "slopes": {str(i): v for i, v in self.slopes.items()},
-                "expected_slopes": {str(i): v for i, v in self.expected_slopes.items()}}
-
 
 def shell_decay_report(m_values, requests, closed_mode: bool = False) -> list:
     """Decay tables and fitted log-log slopes for the shell family, one per request.

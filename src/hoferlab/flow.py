@@ -88,9 +88,6 @@ class FlowMap:
         if self.initial.points.shape != self.final.points.shape:
             raise ValueError("initial and final clouds must have equal shape")
 
-    def stats_json(self):
-        return json.dumps(self.stats, sort_keys=True)
-
 
 def _gradient_field(piece_hamiltonian, dimension):
     """Per-coordinate velocity expressions (-dH/dy_i, +dH/dx_i)."""
@@ -185,7 +182,8 @@ def integrate(f: HamiltonianPath, cloud: TracerCloud, steps_per_piece: int = 256
     pts0 = cloud.points
     dim = pts0.shape[1]
     if dim < f.dimension:
-        raise ValueError("cloud dimension below the path dimension")
+        raise ParameterOutOfRange("cloud", f"cloud has {dim} coordinates, "
+                                  f"below the path's dimension {f.dimension}")
     fields = [(p.t_start, p.t_end, ex.share_subtrees(_gradient_field(p.hamiltonian, dim)))
               for p in f.pieces]
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import expr as ex
-from .errors import GeometryError, NotMonotone, SupportOverlap
+from .errors import GeometryError, NotMonotone, ParameterOutOfRange, SupportOverlap
 from .grid import Grid, leaks
 
 
@@ -335,6 +335,9 @@ def reparametrize(f: PiecewisePath, s) -> PiecewisePath:
 
 def conjugate(f: HamiltonianPath, theta: AffineSymplectic) -> HamiltonianPath:
     """Path of theta . f_t . theta^{-1}: each piece becomes H(theta^{-1}(x), t)."""
+    if theta.linear.shape[0] != f.dimension:
+        raise ParameterOutOfRange("theta", f"theta acts in dimension {theta.linear.shape[0]}, "
+                                           f"the path in dimension {f.dimension}")
     mapping = theta.inverse().as_substitution()
     pieces = tuple(replace(p, hamiltonian=ex.substitute(p.hamiltonian, mapping))
                    for p in f.pieces)

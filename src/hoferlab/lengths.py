@@ -53,11 +53,6 @@ class LengthReport:
         if abs(self.total - sum(self.per_order)) > 1e-12 * max(1.0, abs(self.total)):
             raise ValueError("total must equal the sum of per-order terms")
 
-    def to_json(self):
-        return {"total": self.total, "per_order": list(self.per_order),
-                "per_piece": [list(r) for r in self.per_piece],
-                "quadrature": self.quadrature, "kind": self.kind, "note": self.note}
-
     def to_csv(self):
         out = io.StringIO()
         out.write("piece," + ",".join(f"order_{i}" for i in range(len(self.per_order))) + "\n")

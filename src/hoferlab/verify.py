@@ -16,7 +16,7 @@ from . import corpus, expr as ex, flow as fl, grid as gr, lengths as ln, snowfla
 from . import hampath as hp
 from .experiments import (commutator_bound_report, commutator_tracer_flow, constants,
                           disjoint_bound_check, half_space_shift, shell_decay_report,
-                          shift_certificate, square_displacement, conjugate_by_shift)
+                          shift_certificate, square_displacement)
 
 CORE_SUITE = ("path_algebra_reverse", "path_algebra_concat", "path_algebra_reparam",
               "monotonicity", "coarse_dominates", "lp_quasinorm", "snowflake",
@@ -373,11 +373,12 @@ def check_shell_decay(seed=None):
 
 def check_half_space_shift(seed=None):
     cert = shift_certificate(1.5, 0.25)
-    # conjugating a bump supported in {x1 > 0} by the affine restriction
+    # conjugating a bump supported in {x1 > 0} by the affine restriction there of
+    # the half-space shift, the translation by (1.5, 0)
     grid = gr.Grid.box([-6.0, -6.0], [6.0, 6.0], (48, 48))
     h = ex.parse("step((x1 - 2)/0.8, 0.5, 1)*step(y1/0.8, 0.5, 1)*(1 + t*t)")
     f = hp.HamiltonianPath((hp.Piece(0.0, 1.0, h),), 2, grid)
-    g2 = conjugate_by_shift(f, 1.5)
+    g2 = hp.conjugate(f, hp.AffineSymplectic.translation([1.5, 0.0]))
     dev = 0.0
     for k in (0, 1, 2):
         a = ln.length_k(f, k, grid, time_samples=10).total

@@ -1,5 +1,6 @@
 """CLI surface: subcommands, exit codes, config dispatch, schemas."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -14,6 +15,8 @@ from hoferlab import lengths as ln
 from hoferlab import snowflake as sf
 from hoferlab.cli import SUBCOMMANDS, build_parser, main
 from hoferlab.errors import StepErrorWarning, SupportMarginWarning
+from hoferlab.experiments import (commutator_bound_report, disjoint_bound_check, displacement,
+                                  shell_decay_report, shift_certificate, square_displacement)
 from hoferlab.grid import Grid
 from hoferlab.hampath import HamiltonianPath
 
@@ -295,6 +298,16 @@ def test_flow_subcommand(tmp_path, capsys):
         assert run_cli("flow", "--path", p, "--cloud", str(cloud)) == 2
         err = capsys.readouterr().err
         assert "cloud.csv" in err and "(at cloud)" in err
+    # a cloud of fewer coordinates than the path's dimension
+    four = tmp_path / "path4.json"
+    four.write_text(json.dumps({"dimension": 4, "pieces": [{"t0": 0.0, "t1": 1.0, "expr": "x1*y2"}],
+                                "domain": {"dim": 4, "geometry": "box",
+                                           "bounds": [[-2.0] * 4, [2.0] * 4],
+                                           "resolution": [4, 4, 4, 4]}}))
+    cloud.write_text("x1,y1\n0.1,0.2\n")
+    assert run_cli("flow", "--path", str(four), "--cloud", str(cloud)) == 2
+    captured = capsys.readouterr()
+    assert "(at --cloud)" in captured.err and captured.out == ""
 
 
 def test_flow_that_turns_nan_exits_one(tmp_path, capsys):
@@ -453,6 +466,12 @@ def test_commutator_subcommand(tmp_path, capsys):
     for k in ("-1", "9"):
         assert run_cli("commutator", "--path", p, "--theta", str(theta), "--k", k) == 2
         assert "(at --k)" in capsys.readouterr().err
+    # a symplectic map of another dimension than the path's
+    bad.write_text(json.dumps({"linear": [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]],
+                               "shift": [0, 0, 0, 0]}))
+    assert run_cli("commutator", "--path", p, "--theta", str(bad)) == 2
+    captured = capsys.readouterr()
+    assert "(at --theta)" in captured.err and captured.out == ""
 
 
 def test_flow_and_commutator_reject_torus_paths(tmp_path, capsys):
@@ -539,6 +558,68 @@ def test_disjoint_subcommand(tmp_path, capsys):
     f.write_text(json.dumps(cfg))
     assert run_cli("disjoint", "--config", str(f)) == 1
     assert "path 0 leaks outside its declared box at t=" in capsys.readouterr().err
+
+
+def _plain(v):
+    """``v`` as JSON reads it back: tuples and arrays as lists, keys as strings."""
+    if isinstance(v, dict):
+        return {str(k): _plain(x) for k, x in v.items()}
+    if isinstance(v, (tuple, list, np.ndarray)):
+        return [_plain(x) for x in v]
+    return v.item() if isinstance(v, np.generic) else v
+
+
+def test_reports_print_as_their_fields_plus_ok(tmp_path, capsys):
+    p = path_json(tmp_path)
+    path = hp.HamiltonianPath.from_json(json.loads((tmp_path / "path.json").read_text()))
+    rot = {"linear": [[0.0, 1.0], [-1.0, 0.0]], "shift": [0.3, -0.2]}
+    theta = tmp_path / "theta.json"
+    theta.write_text(json.dumps(rot))
+    dom = {"dim": 2, "geometry": "box", "bounds": [[-2.0, -2.0], [2.0, 2.0]],
+           "resolution": [20, 20]}
+    bumps = [{"dimension": 2, "domain": dom,
+              "pieces": [{"t0": 0.0, "t1": 1.0,
+                          "expr": f"step((x1 - {cx})/0.4, 0.5, 1)*step(y1/0.4, 0.5, 1)*(1 + t)"}]}
+             for cx in (-1.0, 1.0)]
+    cfg = {"k": 1, "paths": bumps,
+           "boxes": [[[-1.5, -0.5], [-0.5, 0.5]], [[0.5, -0.5], [1.5, 0.5]]]}
+    config = tmp_path / "disjoint.json"
+    config.write_text(json.dumps(cfg))
+    paths = [hp.HamiltonianPath.from_json(b) for b in bumps]
+    weights = tmp_path / "weights.json"
+    w = [0.0, 1.0, 2.0, 1.5, 3.0, 0.5]
+    weights.write_text(json.dumps(w))
+    cases = (
+        (["length", "--path", p, "--k", "2"], ln.length_k(path, 2, path.domain, 20)),
+        (["length", "--path", p, "--k", "1", "--kind", "coarse"],
+         ln.coarse_length_k(path, 1, path.domain, 65)),
+        (["gm", "--m", "4,8", "--k", "0"], shell_decay_report([4, 8], [(0, 0.5, None)])[0]),
+        (["displace", "--c", "0.25"], square_displacement(0.25)[1]),
+        (["shift", "--v", "1.0", "--eps", "0.5"], shift_certificate(1.0, 0.5)),
+        (["commutator", "--path", p, "--theta", str(theta), "--k", "1"],
+         commutator_bound_report(path, hp.AffineSymplectic(rot["linear"], rot["shift"]), 1)),
+        (["disjoint", "--config", str(config)],
+         disjoint_bound_check(paths, hp.box_corners(paths, cfg["boxes"]), 1)),
+        (["snowflake", "--group", "S3", "--weights", str(weights)],
+         sf.sharp(sf.builtin_group("S3").with_weights(w))),
+    )
+    for argv, rep in cases:
+        capsys.readouterr()
+        assert run_cli(*argv) == 0
+        want = {f.name: _plain(getattr(rep, f.name)) for f in dataclasses.fields(rep)}
+        if hasattr(rep, "ok"):
+            want["ok"] = rep.ok()
+        assert json.loads(capsys.readouterr().out) == want, argv
+
+
+def test_failing_displacement_prints_its_report_and_exits_one(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(displacement, "SQUARE_EPS", 0.05)
+    out = tmp_path / "displace.json"
+    assert run_cli("displace", "--c", "1", "--out", str(out)) == 1
+    captured = capsys.readouterr()
+    printed = json.loads(captured.out)
+    assert printed["ok"] is False and printed["displaced"] is True
+    assert json.loads(out.read_text()) == printed and captured.err == ""
 
 
 def test_run_config_dispatch(tmp_path, capsys):

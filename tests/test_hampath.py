@@ -10,7 +10,7 @@ from hoferlab import corpus
 from hoferlab import expr as E
 from hoferlab import hampath as hp
 from hoferlab import lengths as L
-from hoferlab.errors import NotMonotone, SupportOverlap
+from hoferlab.errors import NotMonotone, ParameterOutOfRange, SupportOverlap
 from hoferlab.grid import Grid
 
 GRID = Grid.box([-2.0, -2.0], [2.0, 2.0], (16, 16))
@@ -212,6 +212,14 @@ def test_conjugate_shift_formula():
     theta = hp.AffineSymplectic.translation([1.5, 0.0])
     g = hp.conjugate(f, theta)
     assert float(eval_path(g, 0.5, [(2.0, 0.0)])[0]) == pytest.approx(0.5)
+
+
+def test_conjugate_refuses_a_map_of_another_dimension():
+    f = path_of((0.0, 1.0, "x1"))
+    swap = np.array([[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]], dtype=float)
+    with pytest.raises(ParameterOutOfRange) as err:
+        hp.conjugate(f, hp.AffineSymplectic(swap, np.zeros(4)))
+    assert err.value.name == "theta"
 
 
 def test_affine_symplectic_validation():

@@ -11,6 +11,7 @@ from hoferlab import expr as E
 from hoferlab import grid as G
 from hoferlab import hampath as hp
 from hoferlab import lengths as L
+from hoferlab.cli import _jsonable
 from hoferlab.errors import ParameterOutOfRange
 from hoferlab.experiments import square_displacement
 from hoferlab.grid import Grid
@@ -81,14 +82,14 @@ def test_report_total_consistency_and_note():
     rep = L.length_k(f, 2, GRID, 10)
     assert rep.total == pytest.approx(sum(rep.per_order), rel=1e-12)
     assert "upper bound" in rep.note
-    assert rep.to_json()["quadrature"]["scheme"] == "gauss-legendre-5"
+    assert _jsonable(rep)["quadrature"]["scheme"] == "gauss-legendre-5"
 
 
 def test_report_serializes_plain_floats():
     import json as _json
     f = path_of((0.0, 1.0, f"t*{BUMP}"))
     for rep in (L.length_k(f, 1, GRID, 10), L.coarse_length_k(f, 1, GRID, 65)):
-        _json.dumps(rep.to_json())
+        _json.dumps(rep, default=_jsonable)
         assert "np.float64" not in rep.to_csv()
 
 
