@@ -334,10 +334,12 @@ def reparametrize(f: PiecewisePath, s) -> PiecewisePath:
 
 
 def conjugate(f: HamiltonianPath, theta: AffineSymplectic) -> HamiltonianPath:
-    """Path of theta . f_t . theta^{-1}: each piece becomes H(theta^{-1}(x), t)."""
-    if theta.linear.shape[0] != f.dimension:
+    """Path of theta . f_t . theta^{-1}: each piece becomes H(theta^{-1}(x), t).
+
+    A theta of lower dimension acts on the first coordinates, as theta x id."""
+    if theta.linear.shape[0] > f.dimension:
         raise ParameterOutOfRange("theta", f"theta acts in dimension {theta.linear.shape[0]}, "
-                                           f"the path in dimension {f.dimension}")
+                                           f"above the path's dimension {f.dimension}")
     mapping = theta.inverse().as_substitution()
     pieces = tuple(replace(p, hamiltonian=ex.substitute(p.hamiltonian, mapping))
                    for p in f.pieces)

@@ -466,12 +466,20 @@ def test_commutator_subcommand(tmp_path, capsys):
     for k in ("-1", "9"):
         assert run_cli("commutator", "--path", p, "--theta", str(theta), "--k", k) == 2
         assert "(at --k)" in capsys.readouterr().err
-    # a symplectic map of another dimension than the path's
+    # a symplectic map of higher dimension than the path's
     bad.write_text(json.dumps({"linear": [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]],
                                "shift": [0, 0, 0, 0]}))
     assert run_cli("commutator", "--path", p, "--theta", str(bad)) == 2
     captured = capsys.readouterr()
     assert "(at --theta)" in captured.err and captured.out == ""
+    # one of lower dimension acts on the first coordinates, as theta x id
+    four = tmp_path / "path4.json"
+    four.write_text(json.dumps({
+        "dimension": 4,
+        "pieces": [{"t0": 0.0, "t1": 1.0, "expr": "step(x1/0.8, 0.5, 1)*step(y2/0.8, 0.5, 1)*t"}],
+        "domain": {"dim": 4, "geometry": "box", "bounds": [[-2.0] * 4, [2.0] * 4],
+                   "resolution": [4] * 4}}))
+    assert run_cli("commutator", "--path", str(four), "--theta", str(theta), "--k", "1") == 0
 
 
 def test_flow_and_commutator_reject_torus_paths(tmp_path, capsys):

@@ -214,12 +214,24 @@ def test_conjugate_shift_formula():
     assert float(eval_path(g, 0.5, [(2.0, 0.0)])[0]) == pytest.approx(0.5)
 
 
-def test_conjugate_refuses_a_map_of_another_dimension():
+def test_conjugate_refuses_a_map_of_higher_dimension():
     f = path_of((0.0, 1.0, "x1"))
     swap = np.array([[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]], dtype=float)
     with pytest.raises(ParameterOutOfRange) as err:
         hp.conjugate(f, hp.AffineSymplectic(swap, np.zeros(4)))
     assert err.value.name == "theta"
+
+
+def test_conjugate_by_a_map_of_lower_dimension_acts_as_theta_times_id():
+    grid = Grid.box([-1.0] * 4, [1.0] * 4, (4, 4, 4, 4))
+    f = hp.HamiltonianPath((hp.Piece(0.0, 1.0, E.parse("x1*y2 + sin(y1)*x2^2 + t*x1")),), 4, grid)
+    rot = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    block = np.eye(4)
+    block[:2, :2] = rot
+    small = hp.conjugate(f, hp.AffineSymplectic(rot, np.array([0.3, -0.2])))
+    full = hp.conjugate(f, hp.AffineSymplectic(block, np.array([0.3, -0.2, 0.0, 0.0])))
+    pts = np.random.default_rng(0).uniform(-1.0, 1.0, (50, 4))
+    assert np.allclose(eval_path(small, 0.4, pts), eval_path(full, 0.4, pts), rtol=0, atol=1e-12)
 
 
 def test_affine_symplectic_validation():

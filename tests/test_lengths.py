@@ -89,7 +89,7 @@ def test_report_serializes_plain_floats():
     import json as _json
     f = path_of((0.0, 1.0, f"t*{BUMP}"))
     for rep in (L.length_k(f, 1, GRID, 10), L.coarse_length_k(f, 1, GRID, 65)):
-        _json.dumps(rep, default=_jsonable)
+        _json.dumps(_jsonable(rep))
         assert "np.float64" not in rep.to_csv()
 
 
