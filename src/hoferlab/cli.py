@@ -188,8 +188,8 @@ def _length_report(args, path, grid):
 
 def cmd_flow(args):
     path = _resolve_path_argument(args, HamiltonianPath.from_json)
-    cloud = _from_spec(fl.TracerCloud.from_csv, _read(args.cloud, "cloud"),
-                       f"cloud file {args.cloud}", "cloud")
+    cloud = _from_spec(fl.TracerCloud.from_csv, _read(args.cloud, "--cloud"),
+                       f"cloud file {args.cloud}", "--cloud")
     fm = _in_range(lambda: fl.integrate(path, cloud, args.steps, args.tol),
                    {"steps_per_piece": "--steps", "tol": "--tol", "cloud": "--cloud"}.get)
     if args.out_prefix:
@@ -231,10 +231,10 @@ def cmd_shift(args):
 
 def cmd_commutator(args):
     path = _load_path(args.path, HamiltonianPath.from_json)
-    spec = _load_json(args.theta, "theta")
+    spec = _load_json(args.theta, "--theta")
     theta = _from_spec(lambda s: AffineSymplectic(np.array(s["linear"], dtype=float),
                                                   np.array(s["shift"], dtype=float)),
-                       spec, "affine map", "theta")
+                       spec, "affine map", "--theta")
     rep = _in_range(lambda: commutator_bound_report(path, theta, args.k), "--{}".format)
     return _verdict(rep, args.out)
 
@@ -362,10 +362,14 @@ def build_parser():
                    help="autonomous Hamiltonian as a DSL string (needs --grid)")
     p.add_argument("--grid", default=None, help="grid JSON (with --hamiltonian)")
     p.add_argument("--cloud", required=True, help="tracer CSV file")
-    p.add_argument("--steps", type=int, default=512)
+    p.add_argument("--steps", type=int, default=512,
+                   help="the fewest steps per piece: RK4 takes exactly this many; with "
+                        "--tol no step is longer than 1/STEPS of its piece")
     p.add_argument("--tol", type=float, default=None,
-                   help="double the steps of each tracer until its step-error estimate "
-                        "meets TOL; exit 1 if one still misses it")
+                   help="integrate each tracer by the Dormand-Prince 5(4) pair with its own "
+                        "steps, to a step-error estimate of at most TOL (a sum of local "
+                        "estimates that ignores how the flow amplifies them); exit 1 if one "
+                        "misses it")
     p.add_argument("--out", default=None)
     p.add_argument("--out-prefix", default=None)
     p.set_defaults(func=cmd_flow)

@@ -82,4 +82,4 @@ class SupportMarginWarning(UserWarning):
 
 
 class StepErrorWarning(UserWarning):
-    """A flow's step-doubling error estimate still misses the requested tolerance."""
+    """A flow's step-error estimate still misses the requested tolerance."""

@@ -8,16 +8,26 @@ sum dx_i ^ dy_i against the field and equating with -dH, which gives
 Under this convention H = 2*x1 moves points by (0, 2t): a shift by 2t along
 y1, which is the validation example wired into the tests.
 
-Integration is classical RK4 with fixed steps per piece. RK4 is not
-symplectic; a step-doubling error estimate is recorded for each tracer and,
-when a target tolerance is supplied, each tracer whose own estimate misses
-it is integrated again from its start at double the step count, until every
-tracer's estimate meets it. Each doubling round reuses the tracer's previous
-result as its half-step run, and the subtrees the velocity components share
-are evaluated once per RK4 stage. The steps run on the cloud as (2n, N)
-coordinate rows, so every expression reads and writes contiguous rows. The
-stage inputs and the update are formed in place, in the grouping of the
-textbook formula, and equal it bit for bit.
+Without a tolerance, integration is classical RK4 with fixed steps per
+piece, and each tracer's error estimate compares its run against a
+half-step run. RK4 is not symplectic. The subtrees the velocity components
+share are evaluated once per RK4 stage, the steps run on the cloud as (2n, N)
+coordinate rows, so every expression reads and writes contiguous rows, and
+the stage inputs and the update are formed in place, in the grouping of the
+textbook formula, and equal it bit for bit. The verify checks integrate this
+way.
+
+With a tolerance, each tracer is integrated by the embedded Dormand–Prince
+5(4) pair (Dormand & Prince, J. Comput. Appl. Math. 6, 1980) with its own
+step size, error control per tracer as in Hairer, Nørsett & Wanner, Solving
+Ordinary Differential Equations I, ch. II.4. The steps run on the rows of
+the tracers still short of the piece end, with t bound as a row, and the
+last stage of a step is the first of the next. A step is accepted when its
+local estimate is at most tol per unit of time. The reported estimate is
+each tracer's sum of accepted local estimates; it ignores how the flow
+amplifies earlier errors. No step is longer than 1/steps_per_piece of its piece or moves its tracer more
+than one cell of the path's grid, and steps at a floor are taken without the
+test, which bounds the work.
 
 A displacement certificate returns at once when a region tracer ends inside
 the region; otherwise it takes the margin over blocks of at most
@@ -39,7 +49,7 @@ from .errors import BlowUp, CloudMismatch, ParameterOutOfRange, StepErrorWarning
 from .hampath import HamiltonianPath
 
 SAFETY_RADIUS = 1e6       # a tracer coordinate beyond it, or NaN, stops integrate with BlowUp
-MAX_DOUBLINGS = 6
+MAX_DOUBLINGS = 6         # the pair tests no step at or below 1/(steps_per_piece * 2**6) of a piece
 # squared distances per block in ``displaced``: 128 KiB of float64
 DISPLACED_BLOCK = 2 ** 14
 
@@ -107,7 +117,7 @@ def _velocity(field, x, t):
     """
     assignments, components = field
     env = dict(zip(ex.coordinates(len(x)), x))
-    env["t"] = float(t)
+    env["t"] = t if isinstance(t, np.ndarray) else float(t)
     for name, e, _ in assignments:
         env[name] = ex.eval_env(e, env)
     out = np.empty_like(x)
@@ -152,30 +162,132 @@ def _rk4(field, pts, t0, t1, steps):
     return x.T.copy()
 
 
+# Dormand & Prince (1980), RK5(4)7M: the stage nodes, the stage rows (the
+# last row is the fifth-order update, so its stage is the next step's first,
+# FSAL) and the weights of the estimate y5 - y4
+_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+_DP_A = ((),
+         (1 / 5,),
+         (3 / 40, 9 / 40),
+         (44 / 45, -56 / 15, 32 / 9),
+         (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+         (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+         (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84))
+_DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+
+
+def _dormand_prince(field, x, t0, t1, steps, tol, cell):
+    """Dormand–Prince 5(4) over the piece [t0, t1] from the (2n, N) rows ``x``.
+
+    Each tracer has its own t and h, and t is bound as a row. A step is
+    accepted when its estimate is at most ``tol * h``. Every step is at most
+    (t1 - t0) / ``steps`` long and moves its tracer at most ``cell`` along
+    any axis at the velocity it starts from. A step at or below the floor
+    (t1 - t0) / (steps * 2**MAX_DOUBLINGS) is taken without the test. The
+    piece end is a hard stop, and a tracer that reaches it leaves the
+    active set. ``x`` is overwritten with the rows at t1. Returns each
+    tracer's sum of accepted estimates and its count of accepted steps, and
+    the rejected steps and velocity evaluations summed over the tracers.
+    """
+    hmax = (t1 - t0) / steps
+    floor = hmax / 2 ** MAX_DOUBLINGS
+    out = x
+    per = np.empty(x.shape[1])
+    taken = np.empty(x.shape[1], dtype=np.int64)
+    active = np.arange(x.shape[1])
+    t = np.full(x.shape[1], float(t0))
+    h = np.full(x.shape[1], hmax)
+    k = [_velocity(field, x, t)] + [None] * 6
+    est_sum, accepted = np.zeros(x.shape[1]), np.zeros(x.shape[1], dtype=np.int64)
+    rejected, evaluations = 0, x.shape[1]
+    y = np.empty_like(x)
+    while active.size:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # fmin skips the NaN of a NaN velocity, which the safety check stops
+            h = np.fmin(np.fmin(np.maximum(h, floor), hmax), cell / np.abs(k[0]).max(axis=0))
+        rest = t1 - t
+        ends = h >= rest * (1.0 - 1e-9)       # no sliver of a step before the piece end
+        h = np.where(ends, rest, h)
+        for i in range(1, 7):
+            np.multiply(k[0], _DP_A[i][0], out=y)
+            for a, kj in zip(_DP_A[i][1:], k[1:i]):
+                if a:
+                    y += a * kj
+            y *= h
+            y += x
+            if i == 5:
+                k[1] = None                    # the last stage to read k2 is the sixth
+            k[i] = _velocity(field, y, t + _DP_C[i] * h)
+        evaluations += 6 * active.size
+        term = _DP_E[0] * k[0]
+        for e, kj in zip(_DP_E[2:], k[2:]):
+            term += e * kj
+        est = np.abs(term).max(axis=0)         # per unit step; NaN fails the test
+        ok = (h <= floor) | (est <= tol)
+        np.copyto(x, y, where=ok)
+        np.copyto(k[0], k[6], where=ok)
+        k[1:] = [None] * 6
+        if not np.abs(x).max() <= SAFETY_RADIUS:      # a NaN coordinate fails too
+            raise BlowUp(f"tracer left the safety box (radius {SAFETY_RADIUS:g}) "
+                         "or became NaN")
+        t = np.where(ok, np.where(ends, t1, t + h), t)
+        est_sum += np.where(ok, h * est, 0.0)
+        accepted += ok
+        rejected += active.size - int(np.count_nonzero(ok))
+        # the estimate per unit step scales as h**4: propose 0.9 of the step
+        # that would just meet tol, within [0.2, 5] times this one (a NaN
+        # estimate shrinks it)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            h *= np.fmin(np.fmax(0.9 * (est / tol) ** -0.25, 0.2), 5.0)
+        done = ok & ends
+        if done.any():
+            finished = active[done]
+            out[:, finished] = x.compress(done, axis=1)
+            per[finished] = est_sum[done]
+            taken[finished] = accepted[done]
+            keep = ~done
+            active, t, h = active[keep], t[keep], h[keep]
+            est_sum, accepted = est_sum[keep], accepted[keep]
+            x, k[0] = x.compress(keep, axis=1), k[0].compress(keep, axis=1)
+            y = np.empty_like(x)
+    return per, taken, rejected, evaluations
+
+
 def integrate(f: HamiltonianPath, cloud: TracerCloud, steps_per_piece: int = 256,
               tol: float = None) -> FlowMap:
     """Time-1 images of the tracers under the piecewise Hamiltonian flow.
 
-    Each tracer's error estimate compares its run against a half-step run.
-    With ``tol`` set, every tracer whose estimate misses ``tol`` (or is NaN)
-    is integrated again at double the steps per piece, up to
-    ``MAX_DOUBLINGS`` times; its previous result is the new run's half-step
-    run, so a round integrates once, and only the tracers still missing.
-    Each tracer is its own ODE, so its final point is the same float as
-    when it is integrated alone at its last step count. A
-    ``StepErrorWarning`` says when some estimate still misses ``tol`` after
-    the last doubling. ``stats["max_step_error"]`` is the largest estimate
-    of the returned points and ``stats["steps_per_piece"]`` the highest
-    step count any tracer reached. ``tol`` must satisfy 0 < tol < inf.
-
+    Without ``tol`` the flow is classical RK4 at ``steps_per_piece`` fixed
+    steps per piece, and each tracer's error estimate compares its run
+    against a half-step run; ``stats["max_step_error"]`` is the largest.
     The velocity components of a piece share their common subtrees
     (``expr.share_subtrees``), which are evaluated once per RK4 stage on the
     cloud's (2n, N) coordinate rows, with the stages formed in place
-    (``_rk4``). A tracer coordinate that passes ``SAFETY_RADIUS`` or becomes
-    NaN raises ``BlowUp``.
+    (``_rk4``).
+
+    With ``tol`` (0 < tol < inf) every tracer is integrated by the embedded
+    Dormand–Prince 5(4) pair with its own step size (``_dormand_prince``).
+    A step is accepted when its local estimate is at most ``tol * h``, so
+    each tracer's sum of accepted estimates is at most ``tol`` per unit of
+    time. That sum adds local estimates and ignores how the flow amplifies
+    earlier errors, so it is an estimate, not a bound.
+    ``steps_per_piece`` is the fewest steps per piece: no step is longer
+    than 1/``steps_per_piece`` of its piece, nor moves its tracer more than
+    the smallest spacing of ``f.domain`` along an axis. A step at or below
+    1/(``steps_per_piece`` * 2**``MAX_DOUBLINGS``) of its piece is taken
+    without the test and its estimate still counts; a ``StepErrorWarning``
+    says when some tracer's sum then misses ``tol``. Piece ends are hard
+    stops. Each tracer is its own ODE, so its final point is the same float
+    as when it is integrated alone. In ``stats``, ``max_step_error`` is the
+    largest sum, ``steps_per_piece`` the most steps any tracer took on one
+    piece, and ``accepted``, ``rejected`` and ``evaluations`` count steps
+    and velocity evaluations summed over the tracers.
+
+    A tracer coordinate that passes ``SAFETY_RADIUS`` or becomes NaN raises
+    ``BlowUp``.
     """
     if steps_per_piece < 2:
-        # the error estimate needs a half-step run that differs from the run
+        # RK4's error estimate needs a half-step run that differs from the run
         raise ParameterOutOfRange("steps_per_piece", "need at least 2 steps per piece")
     if tol is not None and not 0 < tol < math.inf:
         raise ParameterOutOfRange("tol", f"tol must satisfy 0 < tol < inf, got {tol}")
@@ -186,29 +298,37 @@ def integrate(f: HamiltonianPath, cloud: TracerCloud, steps_per_piece: int = 256
                                   f"below the path's dimension {f.dimension}")
     fields = [(p.t_start, p.t_end, ex.share_subtrees(_gradient_field(p.hamiltonian, dim)))
               for p in f.pieces]
+    if tol is None:
+        def run(x, steps):
+            for t0, t1, vel in fields:
+                x = _rk4(vel, x, t0, t1, steps)
+            return x
 
-    def run(x, steps):
+        final = run(pts0, steps_per_piece)
+        per = np.abs(final - run(pts0, steps_per_piece // 2)).max(axis=1)
+        stats = {"steps_per_piece": steps_per_piece, "pieces": len(f.pieces),
+                 "max_step_error": float(per.max())}
+    else:
+        cell = min(f.domain.spacings)
+        x = pts0.T.copy()
+        per = np.zeros(len(pts0))
+        accepted = rejected = evaluations = most = 0
         for t0, t1, vel in fields:
-            x = _rk4(vel, x, t0, t1, steps)
-        return x
-
-    steps = steps_per_piece
-    final = run(pts0, steps)
-    per = np.abs(final - run(pts0, steps // 2)).max(axis=1)
-    # per-tracer doubling; ``not <=`` keeps a NaN estimate in the set
-    todo = np.flatnonzero(~(per <= tol)) if tol is not None else ()
-    while len(todo):
-        if steps >= steps_per_piece * 2 ** MAX_DOUBLINGS:
-            warnings.warn(f"step-error estimate {per.max():.3g} misses tol {tol:g} at "
-                          f"{steps} steps per piece", StepErrorWarning, stacklevel=2)
-            break
-        steps *= 2
-        new = run(pts0[todo], steps)
-        per[todo] = np.abs(new - final[todo]).max(axis=1)
-        final[todo] = new
-        todo = todo[~(per[todo] <= tol)]
-    stats = {"steps_per_piece": steps, "pieces": len(f.pieces),
-             "max_step_error": float(per.max())}
+            piece_error, taken, piece_rejected, piece_evaluations = _dormand_prince(
+                vel, x, t0, t1, steps_per_piece, tol, cell)
+            per += piece_error
+            accepted += int(taken.sum())
+            most = max(most, int(taken.max()))
+            rejected += piece_rejected
+            evaluations += piece_evaluations
+        final = x.T.copy()
+        if not per.max() <= tol:
+            warnings.warn(f"step-error estimate {per.max():.3g} misses tol {tol:g}: steps at "
+                          f"the floor, 1/{steps_per_piece * 2 ** MAX_DOUBLINGS} of a piece, "
+                          "are taken without the test", StepErrorWarning, stacklevel=2)
+        stats = {"steps_per_piece": most, "pieces": len(f.pieces),
+                 "max_step_error": float(per.max()), "accepted": accepted,
+                 "rejected": rejected, "evaluations": evaluations}
     path_hash = _hash_path(f)
     return FlowMap(cloud, TracerCloud(final), path_hash, stats)
 

@@ -248,7 +248,7 @@ def test_unreadable_inputs_name_the_key_and_the_file(tmp_path, capsys):
     p = path_json(tmp_path)
     assert run_cli("flow", "--path", p, "--cloud", str(tmp_path / "nope.csv")) == 2
     err = capsys.readouterr().err
-    assert "nope.csv" in err and "(at cloud)" in err
+    assert "nope.csv" in err and "(at --cloud)" in err
     group = tmp_path / "g.json"
     for content in (b"{not json", b"\xff\xfe"):
         group.write_bytes(content)
@@ -297,7 +297,7 @@ def test_flow_subcommand(tmp_path, capsys):
         cloud.write_text(text)
         assert run_cli("flow", "--path", p, "--cloud", str(cloud)) == 2
         err = capsys.readouterr().err
-        assert "cloud.csv" in err and "(at cloud)" in err
+        assert "cloud.csv" in err and "(at --cloud)" in err
     # a cloud of fewer coordinates than the path's dimension
     four = tmp_path / "path4.json"
     four.write_text(json.dumps({"dimension": 4, "pieces": [{"t0": 0.0, "t1": 1.0, "expr": "x1*y2"}],
@@ -337,6 +337,8 @@ def test_flow_tol_doubles_each_tracer_and_exits_one_on_a_miss(tmp_path, capsys):
                    "--out-prefix", prefix) == 0
     stats = json.loads(capsys.readouterr().out)["stats"]
     assert stats["max_step_error"] <= 1e-8 and stats["steps_per_piece"] > 4
+    assert stats["accepted"] >= 3 * 4 and stats["evaluations"] > 6 * stats["accepted"]
+    assert stats["rejected"] >= 0
     assert json.loads((tmp_path / "met.stats.json").read_text()) == stats
     # the fast rotation still misses 1e-12 after the last doubling: the outputs
     # are written, the command warns and exits 1
@@ -462,7 +464,7 @@ def test_commutator_subcommand(tmp_path, capsys):
                  {"linear": [[1.0, 0.0], [0.0, 1.0]], "shift": [float("inf"), 0.0]}):
         bad.write_text(json.dumps(spec))
         assert run_cli("commutator", "--path", p, "--theta", str(bad)) == 2
-        assert "(at theta)" in capsys.readouterr().err
+        assert "(at --theta)" in capsys.readouterr().err
     for k in ("-1", "9"):
         assert run_cli("commutator", "--path", p, "--theta", str(theta), "--k", k) == 2
         assert "(at --k)" in capsys.readouterr().err
