@@ -388,24 +388,23 @@ TRACER_169_AT_TIME_1 = (-1.0055947857916732, 0.023284438893152248)
 
 def test_no_step_jumps_a_transition_band():
     # The tracer crosses cutoff transition bands at speeds up to 37 on a
-    # 0.2 grid. At 40 steps per piece the pair ends within 1e-5 of the
+    # 0.2 grid. At 128 steps per piece the pair ends within 1e-5 of the
     # resolved point at every tol. At 16 steps per piece and tol 1e-6 or
-    # 1e-8 it takes steps at the floor and ends about 1e-4 away; a step that
-    # moved the tracer more than one cell jumped a band with an estimate of
-    # 1e-10 and ended 0.29 away.
+    # 1e-8 it needs steps below the floor and ends about 1e-4 away; without
+    # the cap of one cell per step it jumped a band and ended 0.29 away.
     rng = np.random.default_rng(42)
     f = [corpus.random_path(rng) for _ in range(6)][5]
     cloud = F.TracerCloud(np.random.default_rng(0).uniform(-2.0, 2.0, (300, 2))[169:170])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", StepErrorWarning)
-        for steps, tol, within in ((40, 1e-6, 1e-5), (40, 1e-8, 1e-5), (40, 1e-10, 1e-5),
+        for steps, tol, within in ((128, 1e-6, 1e-5), (128, 1e-8, 1e-5), (128, 1e-10, 1e-5),
                                    (16, 1e-6, 1e-3), (16, 1e-8, 1e-3)):
             end = F.integrate(f, cloud, steps, tol=tol).final.points[0]
             assert np.abs(end - TRACER_169_AT_TIME_1).max() <= within, (steps, tol)
 
 
 def test_tol_out_of_range_is_refused():
-    # a NaN tol would pass no tracer's test, nor stop the global loop
+    # a NaN tol would pass no tracer's test
     f = apath("(x1*x1 + y1*y1)/2")
     cloud = F.TracerCloud(np.array([[1.0, 0.0]]))
     for tol in (float("nan"), float("inf"), 0.0, -1.0):
