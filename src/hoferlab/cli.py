@@ -367,9 +367,8 @@ def build_parser():
                         "--tol no step is longer than 1/STEPS of its piece")
     p.add_argument("--tol", type=float, default=None,
                    help="integrate each tracer by the Dormand-Prince 5(4) pair with its own "
-                        "steps, to a step-error estimate of at most TOL (a sum of local "
-                        "estimates that ignores how the flow amplifies them); exit 1 if one "
-                        "misses it")
+                        "steps, halving its step bounds until its run and its half-step run "
+                        "differ by at most TOL; exit 1 if one still misses it")
     p.add_argument("--out", default=None)
     p.add_argument("--out-prefix", default=None)
     p.set_defaults(func=cmd_flow)

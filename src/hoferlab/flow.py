@@ -22,12 +22,13 @@ With a tolerance, each tracer is integrated by the embedded Dormand–Prince
 step size, error control per tracer as in Hairer, Nørsett & Wanner, Solving
 Ordinary Differential Equations I, ch. II.4. The steps run on the rows of
 the tracers still short of the piece end, with t bound as a row, and the
-last stage of a step is the first of the next. A step is accepted when its
-local estimate is at most tol per unit of time. The reported estimate is
-each tracer's sum of accepted local estimates; it ignores how the flow
-amplifies earlier errors. No step is longer than 1/steps_per_piece of its piece or moves its tracer more
-than one cell of the path's grid, and steps at a floor are taken without the
-test, which bounds the work.
+last stage of a step is the first of the next. No step is longer than
+1/steps_per_piece of its piece or moves its tracer more than one cell of the
+path's grid, and steps at a floor are taken without the local test, which
+bounds the work. The error estimate compares each tracer's run against a
+half-step run, as without a tolerance, so it sees how the flow amplifies
+earlier errors; a tracer whose estimate misses the tolerance is integrated
+again with its step bounds halved.
 
 A displacement certificate returns at once when a region tracer ends inside
 the region; otherwise it takes the margin over blocks of at most
@@ -49,7 +50,12 @@ from .errors import BlowUp, CloudMismatch, ParameterOutOfRange, StepErrorWarning
 from .hampath import HamiltonianPath
 
 SAFETY_RADIUS = 1e6       # a tracer coordinate beyond it, or NaN, stops integrate with BlowUp
-MAX_DOUBLINGS = 6         # the pair tests no step at or below 1/(steps_per_piece * 2**6) of a piece
+MAX_DOUBLINGS = 3         # with tol, a tracer's step bounds halve at most 3 times
+FLOOR_HALVINGS = 3        # the pair tests no step at or below 1/2**3 of its longest step
+# the pair's first run tests each step at 16 * tol per unit of time: whether
+# a tracer meets tol is decided by the half-step run, and a local test at
+# tol itself made a flow-cloud pass about a third slower
+LOCAL_TOL = 16
 # squared distances per block in ``displaced``: 128 KiB of float64
 DISPLACED_BLOCK = 2 ** 14
 
@@ -114,6 +120,8 @@ def _velocity(field, x, t):
     ``field`` is ``expr.share_subtrees`` of the components. Each coordinate
     name is bound to a contiguous row of ``x`` and each component is written
     into a row of the output, so no expression reads or writes a strided column.
+    ``t`` is a float, a row with a value per tracer, or a row of one value
+    that every tracer shares.
     """
     assignments, components = field
     env = dict(zip(ex.coordinates(len(x)), x))
@@ -179,35 +187,39 @@ _DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 
 def _dormand_prince(field, x, t0, t1, steps, tol, cell):
     """Dormand–Prince 5(4) over the piece [t0, t1] from the (2n, N) rows ``x``.
 
-    Each tracer has its own t and h, and t is bound as a row. A step is
-    accepted when its estimate is at most ``tol * h``. Every step is at most
-    (t1 - t0) / ``steps`` long and moves its tracer at most ``cell`` along
-    any axis at the velocity it starts from. A step at or below the floor
-    (t1 - t0) / (steps * 2**MAX_DOUBLINGS) is taken without the test. The
-    piece end is a hard stop, and a tracer that reaches it leaves the
-    active set. ``x`` is overwritten with the rows at t1. Returns each
-    tracer's sum of accepted estimates and its count of accepted steps, and
-    the rejected steps and velocity evaluations summed over the tracers.
+    Each tracer has its own t and h, and t is bound as a row; while every
+    active tracer has the same t and h, the stage times are bound as a row
+    of one, so the subtrees of t alone are evaluated once, on the same array
+    as for one tracer alone. A step is accepted when its estimate is at most
+    ``tol * h``. No step is longer than (t1 - t0) / ``steps`` or moves its
+    tracer more than ``cell`` along any axis at the velocity it starts from,
+    unless that would take it below the floor, 1/2**FLOOR_HALVINGS of the
+    longest step; a step at the floor is taken without the test. The piece
+    end is a hard stop, and a tracer that reaches it leaves the active set.
+    ``x`` is overwritten with the rows at t1. Returns each tracer's count of
+    accepted steps, and the rejected steps and velocity evaluations summed
+    over the tracers.
     """
     hmax = (t1 - t0) / steps
-    floor = hmax / 2 ** MAX_DOUBLINGS
+    floor = hmax / 2 ** FLOOR_HALVINGS
     out = x
-    per = np.empty(x.shape[1])
     taken = np.empty(x.shape[1], dtype=np.int64)
     active = np.arange(x.shape[1])
     t = np.full(x.shape[1], float(t0))
     h = np.full(x.shape[1], hmax)
-    k = [_velocity(field, x, t)] + [None] * 6
-    est_sum, accepted = np.zeros(x.shape[1]), np.zeros(x.shape[1], dtype=np.int64)
+    k = [_velocity(field, x, t[:1])] + [None] * 6
+    accepted = np.zeros(x.shape[1], dtype=np.int64)
     rejected, evaluations = 0, x.shape[1]
     y = np.empty_like(x)
     while active.size:
         with np.errstate(divide="ignore", invalid="ignore"):
             # fmin skips the NaN of a NaN velocity, which the safety check stops
-            h = np.fmin(np.fmin(np.maximum(h, floor), hmax), cell / np.abs(k[0]).max(axis=0))
+            h = np.maximum(np.fmin(np.fmin(h, hmax), cell / np.abs(k[0]).max(axis=0)), floor)
         rest = t1 - t
         ends = h >= rest * (1.0 - 1e-9)       # no sliver of a step before the piece end
         h = np.where(ends, rest, h)
+        lockstep = t.min() == t.max() and h.min() == h.max()
+        ts, hs = (t[:1], h[:1]) if lockstep else (t, h)
         for i in range(1, 7):
             np.multiply(k[0], _DP_A[i][0], out=y)
             for a, kj in zip(_DP_A[i][1:], k[1:i]):
@@ -217,7 +229,7 @@ def _dormand_prince(field, x, t0, t1, steps, tol, cell):
             y += x
             if i == 5:
                 k[1] = None                    # the last stage to read k2 is the sixth
-            k[i] = _velocity(field, y, t + _DP_C[i] * h)
+            k[i] = _velocity(field, y, ts + _DP_C[i] * hs)
         evaluations += 6 * active.size
         term = _DP_E[0] * k[0]
         for e, kj in zip(_DP_E[2:], k[2:]):
@@ -231,7 +243,6 @@ def _dormand_prince(field, x, t0, t1, steps, tol, cell):
             raise BlowUp(f"tracer left the safety box (radius {SAFETY_RADIUS:g}) "
                          "or became NaN")
         t = np.where(ok, np.where(ends, t1, t + h), t)
-        est_sum += np.where(ok, h * est, 0.0)
         accepted += ok
         rejected += active.size - int(np.count_nonzero(ok))
         # the estimate per unit step scales as h**4: propose 0.9 of the step
@@ -243,51 +254,54 @@ def _dormand_prince(field, x, t0, t1, steps, tol, cell):
         if done.any():
             finished = active[done]
             out[:, finished] = x.compress(done, axis=1)
-            per[finished] = est_sum[done]
             taken[finished] = accepted[done]
             keep = ~done
-            active, t, h = active[keep], t[keep], h[keep]
-            est_sum, accepted = est_sum[keep], accepted[keep]
+            active, t, h, accepted = active[keep], t[keep], h[keep], accepted[keep]
             x, k[0] = x.compress(keep, axis=1), k[0].compress(keep, axis=1)
             y = np.empty_like(x)
-    return per, taken, rejected, evaluations
+    return taken, rejected, evaluations
 
 
 def integrate(f: HamiltonianPath, cloud: TracerCloud, steps_per_piece: int = 256,
               tol: float = None) -> FlowMap:
     """Time-1 images of the tracers under the piecewise Hamiltonian flow.
 
-    Without ``tol`` the flow is classical RK4 at ``steps_per_piece`` fixed
-    steps per piece, and each tracer's error estimate compares its run
-    against a half-step run; ``stats["max_step_error"]`` is the largest.
-    The velocity components of a piece share their common subtrees
-    (``expr.share_subtrees``), which are evaluated once per RK4 stage on the
-    cloud's (2n, N) coordinate rows, with the stages formed in place
-    (``_rk4``).
+    Each tracer's error estimate compares its run against a half-step run;
+    ``stats["max_step_error"]`` is the largest. Without ``tol`` the run is
+    classical RK4 at ``steps_per_piece`` fixed steps per piece, and the
+    estimate is only reported. The velocity components of a piece share
+    their common subtrees (``expr.share_subtrees``), which are evaluated
+    once per RK4 stage on the cloud's (2n, N) coordinate rows, with the
+    stages formed in place (``_rk4``).
 
-    With ``tol`` (0 < tol < inf) every tracer is integrated by the embedded
-    Dormand–Prince 5(4) pair with its own step size (``_dormand_prince``).
-    A step is accepted when its local estimate is at most ``tol * h``, so
-    each tracer's sum of accepted estimates is at most ``tol`` per unit of
-    time. That sum adds local estimates and ignores how the flow amplifies
-    earlier errors, so it is an estimate, not a bound.
-    ``steps_per_piece`` is the fewest steps per piece: no step is longer
-    than 1/``steps_per_piece`` of its piece, nor moves its tracer more than
-    the smallest spacing of ``f.domain`` along an axis. A step at or below
-    1/(``steps_per_piece`` * 2**``MAX_DOUBLINGS``) of its piece is taken
-    without the test and its estimate still counts; a ``StepErrorWarning``
-    says when some tracer's sum then misses ``tol``. Piece ends are hard
-    stops. Each tracer is its own ODE, so its final point is the same float
-    as when it is integrated alone. In ``stats``, ``max_step_error`` is the
-    largest sum, ``steps_per_piece`` the most steps any tracer took on one
-    piece, and ``accepted``, ``rejected`` and ``evaluations`` count steps
-    and velocity evaluations summed over the tracers.
+    With ``tol`` (0 < tol < inf) the run is the embedded Dormand–Prince 5(4)
+    pair with a step size per tracer (``_dormand_prince``). A step is
+    accepted when its local estimate is at most ``LOCAL_TOL * tol * h``; no
+    step is longer than 1/``steps_per_piece`` of its piece, nor moves its
+    tracer more than the smallest spacing of ``f.domain`` along an axis,
+    and a step at the floor, 1/2**``FLOOR_HALVINGS`` of the longest, is
+    taken without the local test. The half-step run doubles the two step
+    bounds and multiplies the local tolerance by 2**4, as the local
+    estimate scales as h**4, so its steps are twice as long wherever they
+    fall. Every tracer whose estimate misses ``tol`` (or is NaN) is
+    integrated again with the step bounds halved and the local tolerance
+    divided by 2**4, up to ``MAX_DOUBLINGS`` times; its previous result is
+    the new run's half-step run, so a round integrates once, and only the
+    tracers still missing. A ``StepErrorWarning`` says when some estimate
+    still misses ``tol`` after the last doubling. The estimate compares two
+    whole runs, so it sees how the flow amplifies earlier errors, which a
+    sum of local estimates does not. Piece ends are hard stops. Each tracer
+    is its own ODE, so its final point is the same float as when it is
+    integrated alone. In ``stats``, ``steps_per_piece`` is the most steps
+    any tracer took on one piece, and ``accepted``, ``rejected`` and
+    ``evaluations`` count the steps and velocity evaluations of every run,
+    summed over the tracers.
 
     A tracer coordinate that passes ``SAFETY_RADIUS`` or becomes NaN raises
     ``BlowUp``.
     """
     if steps_per_piece < 2:
-        # RK4's error estimate needs a half-step run that differs from the run
+        # the error estimate needs a half-step run that differs from the run
         raise ParameterOutOfRange("steps_per_piece", "need at least 2 steps per piece")
     if tol is not None and not 0 < tol < math.inf:
         raise ParameterOutOfRange("tol", f"tol must satisfy 0 < tol < inf, got {tol}")
@@ -298,37 +312,45 @@ def integrate(f: HamiltonianPath, cloud: TracerCloud, steps_per_piece: int = 256
                                   f"below the path's dimension {f.dimension}")
     fields = [(p.t_start, p.t_end, ex.share_subtrees(_gradient_field(p.hamiltonian, dim)))
               for p in f.pieces]
-    if tol is None:
-        def run(x, steps):
+    cell = None if tol is None else min(f.domain.spacings)
+    counts = {"steps_per_piece": 0, "accepted": 0, "rejected": 0, "evaluations": 0}
+
+    def run(x, steps):
+        if tol is None:
             for t0, t1, vel in fields:
                 x = _rk4(vel, x, t0, t1, steps)
             return x
-
-        final = run(pts0, steps_per_piece)
-        per = np.abs(final - run(pts0, steps_per_piece // 2)).max(axis=1)
-        stats = {"steps_per_piece": steps_per_piece, "pieces": len(f.pieces),
-                 "max_step_error": float(per.max())}
-    else:
-        cell = min(f.domain.spacings)
-        x = pts0.T.copy()
-        per = np.zeros(len(pts0))
-        accepted = rejected = evaluations = most = 0
+        scale = steps / steps_per_piece
+        x = x.T.copy()
         for t0, t1, vel in fields:
-            piece_error, taken, piece_rejected, piece_evaluations = _dormand_prince(
-                vel, x, t0, t1, steps_per_piece, tol, cell)
-            per += piece_error
-            accepted += int(taken.sum())
-            most = max(most, int(taken.max()))
-            rejected += piece_rejected
-            evaluations += piece_evaluations
-        final = x.T.copy()
-        if not per.max() <= tol:
-            warnings.warn(f"step-error estimate {per.max():.3g} misses tol {tol:g}: steps at "
-                          f"the floor, 1/{steps_per_piece * 2 ** MAX_DOUBLINGS} of a piece, "
-                          "are taken without the test", StepErrorWarning, stacklevel=2)
-        stats = {"steps_per_piece": most, "pieces": len(f.pieces),
-                 "max_step_error": float(per.max()), "accepted": accepted,
-                 "rejected": rejected, "evaluations": evaluations}
+            taken, rejected, evaluations = _dormand_prince(
+                vel, x, t0, t1, steps, LOCAL_TOL * tol / scale ** 4, cell / scale)
+            counts["steps_per_piece"] = max(counts["steps_per_piece"], int(taken.max()))
+            counts["accepted"] += int(taken.sum())
+            counts["rejected"] += rejected
+            counts["evaluations"] += evaluations
+        return x.T.copy()
+
+    steps = steps_per_piece
+    final = run(pts0, steps)
+    per = np.abs(final - run(pts0, steps // 2)).max(axis=1)
+    # per-tracer doubling; ``not <=`` keeps a NaN estimate in the set
+    todo = np.flatnonzero(~(per <= tol)) if tol is not None else ()
+    while len(todo):
+        if steps >= steps_per_piece * 2 ** MAX_DOUBLINGS:
+            warnings.warn(f"step-error estimate {per.max():.3g} misses tol {tol:g} after "
+                          f"{MAX_DOUBLINGS} doublings, at steps of at most 1/{steps} of a "
+                          "piece", StepErrorWarning, stacklevel=2)
+            break
+        steps *= 2
+        new = run(pts0[todo], steps)
+        per[todo] = np.abs(new - final[todo]).max(axis=1)
+        final[todo] = new
+        todo = todo[~(per[todo] <= tol)]
+    stats = {"steps_per_piece": steps, "pieces": len(f.pieces),
+             "max_step_error": float(per.max())}
+    if tol is not None:
+        stats.update(counts)
     path_hash = _hash_path(f)
     return FlowMap(cloud, TracerCloud(final), path_hash, stats)
 

@@ -340,8 +340,8 @@ def test_flow_tol_doubles_each_tracer_and_exits_one_on_a_miss(tmp_path, capsys):
     assert stats["accepted"] >= 3 * 4 and stats["evaluations"] > 6 * stats["accepted"]
     assert stats["rejected"] >= 0
     assert json.loads((tmp_path / "met.stats.json").read_text()) == stats
-    # the fast rotation still misses 1e-12 at the step floor: the outputs
-    # are written, the command warns and exits 1
+    # the fast rotation still misses 1e-12 after the last doubling: the
+    # outputs are written, the command warns and exits 1
     prefix = str(tmp_path / "missed")
     with pytest.warns(StepErrorWarning, match="misses tol 1e-12"):
         code = run_cli("flow", "--hamiltonian", "20*(x1^2 + y1^2)/2", "--grid", grid,

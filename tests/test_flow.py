@@ -269,16 +269,19 @@ def test_nan_tracer_raises_blow_up():
                 F.integrate(f, cloud, 16, tol=tol)
 
 
-def test_pair_meets_tol_with_more_steps_where_the_field_needs_them():
+def test_error_estimate_and_auto_doubling():
     f = apath("(x1*x1 + y1*y1)/2 + x1^4/8")
     cloud = F.TracerCloud(np.array([[1.2, 0.0], [0.5, 0.9], [0.0, 0.0]]))
     fm = F.integrate(f, cloud, 16, tol=1e-10)
     assert fm.stats["steps_per_piece"] > 16
     assert 0.0 < fm.stats["max_step_error"] <= 1e-10
-    # the tracer at rest takes the fewest steps: 16, each accepted
+    # the tracer at rest takes the fewest steps, each accepted: 16 in its run
+    # and 8 in its half-step run, which it matches exactly
     alone = F.integrate(f, F.TracerCloud(np.zeros((1, 2))), 16, tol=1e-10).stats
-    assert (alone["accepted"], alone["rejected"], alone["evaluations"]) == (16, 0, 1 + 6 * 16)
-    assert fm.stats["accepted"] > 3 * 16
+    assert (alone["accepted"], alone["rejected"]) == (16 + 8, 0)
+    assert alone["evaluations"] == (1 + 6 * 16) + (1 + 6 * 8)
+    assert alone["max_step_error"] == 0.0
+    assert fm.stats["accepted"] > 3 * (16 + 8)
 
 
 def test_one_step_per_piece_is_out_of_range():
@@ -311,30 +314,63 @@ def test_each_tracer_ends_as_when_integrated_alone():
 
 
 def _attempts(times, pieces):
-    """(accepted, rejected) steps of a one-tracer pair run, read from the times
-    of its velocity calls.
+    """(accepted, rejected) steps of the pair runs of one tracer, read from the
+    times of its velocity calls.
 
-    Each piece opens with one call at its start. Each attempt then makes six,
-    at t + c*h for c = 1/5, 3/10, 4/5, 8/9, 1 and 1, so t and h follow from the
-    first and the last. An attempt is rejected when the next attempt on its
-    piece starts where it started.
+    Each run goes through every piece, and each piece opens with one call at
+    its start. Each attempt then makes six, at t + c*h for c = 1/5, 3/10, 4/5,
+    8/9, 1 and 1, so t and h follow from the first and the last. A piece
+    ends when an attempt reaches its end and the next call opens the next
+    piece, or the next run. An attempt is rejected when the next attempt on
+    its piece starts where it started.
     """
     accepted = rejected = i = 0
-    for piece in pieces:
-        assert times[i] == piece.t_start
-        i += 1
-        starts = []
-        while True:
-            h = (times[i + 5] - times[i]) / 0.8
-            starts.append(times[i + 5] - h)
-            i += 6
-            if times[i - 1] == piece.t_end and (i == len(times) or times[i] == piece.t_end):
-                break
-        again = sum(abs(b - a) < 1e-12 for a, b in zip(starts, starts[1:]))
-        accepted += len(starts) - again
-        rejected += again
-    assert i == len(times)
+    while i < len(times):
+        for piece, following in zip(pieces, pieces[1:] + pieces[:1]):
+            assert times[i] == piece.t_start
+            i += 1
+            starts = []
+            while True:
+                h = (times[i + 5] - times[i]) / 0.8
+                starts.append(times[i + 5] - h)
+                i += 6
+                if times[i - 1] == piece.t_end and (i == len(times)
+                                                    or times[i] == following.t_start):
+                    break
+            again = sum(abs(b - a) < 1e-12 for a, b in zip(starts, starts[1:]))
+            accepted += len(starts) - again
+            rejected += again
     return accepted, rejected
+
+
+def test_doubling_reuses_the_previous_round(monkeypatch):
+    # each round runs the tracers whose own estimate still misses tol, with
+    # the step bounds halved, and takes their previous result as the
+    # half-step run
+    f = hp.concatenate(apath("(x1*x1 + y1*y1)/2 + x1^4/8"), apath("2*x1"))
+    cloud = F.TracerCloud(np.array([[1.2, 0.0], [0.5, 0.9], [0.05, -0.1], [0.0, 0.0],
+                                    [-0.8, 0.6]]))
+    counted = []
+    pair = F._dormand_prince
+
+    def counting(field, x, t0, t1, steps, tol, cell):
+        counted.append((steps, x.shape[1], tol, cell))
+        return pair(field, x, t0, t1, steps, tol, cell)
+
+    monkeypatch.setattr(F, "_dormand_prince", counting)
+    F.integrate(f, cloud, 2, tol=1e-10)
+    runs = counted[::2]
+    assert counted[1::2] == runs                  # each run goes through both pieces
+    # the run and its half-step run on every tracer, then three doublings on
+    # fewer and fewer; each halving of the step bounds divides the local
+    # tolerance by 2**4
+    steps = [s for s, _, _, _ in runs]
+    sizes = [n for _, n, _, _ in runs]
+    assert steps == [2, 1, 4, 8, 16]
+    assert sizes[:2] == [5, 5] and sizes[2] < 5 and sizes[2:] == sorted(sizes[2:], reverse=True)
+    for s, _, tol, cell in runs:
+        assert tol == pytest.approx(F.LOCAL_TOL * 1e-10 * (2 / s) ** 4)
+        assert cell == 2 / s
 
 
 def test_pair_counts_match_a_wrapped_velocity(monkeypatch):
@@ -344,18 +380,18 @@ def test_pair_counts_match_a_wrapped_velocity(monkeypatch):
     velocity = F._velocity
 
     def counting(field, x, t):
-        calls.append(t.copy())
+        calls.append((x.shape[1], float(t[0])))
         return velocity(field, x, t)
 
     monkeypatch.setattr(F, "_velocity", counting)
     fm = F.integrate(f, F.TracerCloud(pts), 4, tol=1e-9)
-    assert fm.stats["evaluations"] == sum(len(t) for t in calls)
+    assert fm.stats["evaluations"] == sum(n for n, _ in calls)
     want = np.zeros(2, dtype=int)
     for p in pts:
         calls.clear()
         alone = F.integrate(f, F.TracerCloud(p[None]), 4, tol=1e-9)
         assert alone.stats["evaluations"] == len(calls)
-        counted = _attempts([float(t[0]) for t in calls], f.pieces)
+        counted = _attempts([t for _, t in calls], f.pieces)
         assert (alone.stats["accepted"], alone.stats["rejected"]) == counted
         want += counted
     assert (fm.stats["accepted"], fm.stats["rejected"]) == tuple(want)
@@ -363,8 +399,8 @@ def test_pair_counts_match_a_wrapped_velocity(monkeypatch):
 
 
 def test_pair_ends_within_tol_of_fine_rk4():
-    # the estimate is a sum of local estimates; on these fields it also bounds
-    # the distance to 1024-step RK4, or to the exact map
+    # each tracer's estimate compares it with its half-step run; on these
+    # fields it also bounds the distance to 1024-step RK4, or to the exact map
     tol = 1e-8
     for name, f, pts, tols in _oracle_cases():
         if tol not in tols:
@@ -386,21 +422,34 @@ def test_pair_ends_within_tol_of_fine_rk4():
 TRACER_169_AT_TIME_1 = (-1.0055947857916732, 0.023284438893152248)
 
 
-def test_no_step_jumps_a_transition_band():
+def test_no_step_moves_a_tracer_more_than_one_cell():
+    # the pair is exact on the shift, which moves a tracer by 2 per unit of
+    # time, so only the cap of one cell (0.05 here) per step makes it take
+    # 40 steps in its run and 20 in its half-step run
+    fine = Grid.box([-2.0, -2.0], [2.0, 2.0], (80, 80))
+    f = hp.autonomous_path(E.parse("2*x1"), 2, fine)
+    fm = F.integrate(f, F.TracerCloud(np.array([[0.3, -1.0]])), 16, tol=1e-8)
+    assert (fm.stats["steps_per_piece"], fm.stats["accepted"]) == (40, 40 + 20)
+    assert np.abs(fm.final.points - [[0.3, 1.0]]).max() <= 1e-12
+
+
+def test_corpus_tracer_ends_within_its_estimate_of_the_resolved_point():
     # The tracer crosses cutoff transition bands at speeds up to 37 on a
-    # 0.2 grid. At 128 steps per piece the pair ends within 1e-5 of the
-    # resolved point at every tol. At 16 steps per piece and tol 1e-6 or
-    # 1e-8 it needs steps below the floor and ends about 1e-4 away; without
-    # the cap of one cell per step it jumped a band and ended 0.29 away.
+    # 0.2 grid. At 32 steps per piece it ends within 1e-5 of the resolved
+    # point at every tol, and its estimate is at least its distance to it:
+    # a sum of local estimates once read 5.9e-7 here at tol 1e-6, 3.4e-4
+    # away, and before the cap of one cell per step a step jumped a band
+    # with a local estimate of 5e-11 and the tracer ended 0.29 away.
     rng = np.random.default_rng(42)
     f = [corpus.random_path(rng) for _ in range(6)][5]
     cloud = F.TracerCloud(np.random.default_rng(0).uniform(-2.0, 2.0, (300, 2))[169:170])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", StepErrorWarning)
-        for steps, tol, within in ((128, 1e-6, 1e-5), (128, 1e-8, 1e-5), (128, 1e-10, 1e-5),
-                                   (16, 1e-6, 1e-3), (16, 1e-8, 1e-3)):
-            end = F.integrate(f, cloud, steps, tol=tol).final.points[0]
-            assert np.abs(end - TRACER_169_AT_TIME_1).max() <= within, (steps, tol)
+        for tol in (1e-6, 1e-8, 1e-10):
+            fm = F.integrate(f, cloud, 32, tol=tol)
+            off = np.abs(fm.final.points[0] - TRACER_169_AT_TIME_1).max()
+            assert off <= 1e-5, tol
+            assert off <= max(fm.stats["max_step_error"], tol), tol
 
 
 def test_tol_out_of_range_is_refused():
@@ -414,15 +463,27 @@ def test_tol_out_of_range_is_refused():
 
 
 def test_missed_tolerance_warns():
-    # a fast rotation at tol 1e-12 needs steps below the floor, 1/(2 * 2**MAX_DOUBLINGS)
-    # of the piece at 2 steps per piece; they are taken without the error test,
-    # so each tracer takes that many steps and its sum of estimates misses tol
+    # a fast rotation at tol 1e-12 still misses after the last doubling,
+    # where it takes every step at the floor, 1/(2 * 2**(MAX_DOUBLINGS +
+    # FLOOR_HALVINGS)) of the piece at 2 steps per piece
     f = apath("20*(x1*x1 + y1*y1)/2")
     cloud = F.TracerCloud(np.array([[1.0, 0.0], [0.3, -0.7]]))
     with pytest.warns(StepErrorWarning, match="misses tol 1e-12"):
         fm = F.integrate(f, cloud, 2, tol=1e-12)
-    assert fm.stats["steps_per_piece"] == 2 * 2 ** F.MAX_DOUBLINGS
+    assert fm.stats["steps_per_piece"] == 2 * 2 ** (F.MAX_DOUBLINGS + F.FLOOR_HALVINGS)
     assert fm.stats["max_step_error"] > 1e-12
+
+
+def test_the_floor_bounds_the_steps_on_a_fast_field():
+    # on a 0.05 grid the cap of one cell per step asks this rotation for
+    # steps of 0.0025 and less, below the floor: the floor wins, so no run
+    # takes more than 2 * 2**(MAX_DOUBLINGS + FLOOR_HALVINGS) steps
+    fine = Grid.box([-2.0, -2.0], [2.0, 2.0], (80, 80))
+    f = hp.autonomous_path(E.parse("20*(x1*x1 + y1*y1)/2"), 2, fine)
+    cloud = F.TracerCloud(np.array([[1.0, 0.0], [0.3, -0.7]]))
+    with pytest.warns(StepErrorWarning, match="misses tol 1e-06"):
+        fm = F.integrate(f, cloud, 2, tol=1e-6)
+    assert fm.stats["steps_per_piece"] <= 2 * 2 ** (F.MAX_DOUBLINGS + F.FLOOR_HALVINGS)
 
 
 def test_area_conservation_nonlinear():
