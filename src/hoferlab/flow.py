@@ -282,17 +282,16 @@ def integrate(f: HamiltonianPath, cloud: TracerCloud, steps_per_piece: int = 256
     and a step at the floor, 1/2**``FLOOR_HALVINGS`` of the longest, is
     taken without the local test. The half-step run doubles the two step
     bounds and multiplies the local tolerance by 2**4, as the local
-    estimate scales as h**4, so its steps are twice as long wherever they
-    fall. Every tracer whose estimate misses ``tol`` (or is NaN) is
+    estimate scales as h**4, so its steps are about twice as long wherever
+    they fall. Every tracer whose estimate misses ``tol`` (or is NaN) is
     integrated again with the step bounds halved and the local tolerance
     divided by 2**4, up to ``MAX_DOUBLINGS`` times; its previous result is
     the new run's half-step run, so a round integrates once, and only the
     tracers still missing. A ``StepErrorWarning`` says when some estimate
     still misses ``tol`` after the last doubling. The estimate compares two
-    whole runs, so it sees how the flow amplifies earlier errors, which a
-    sum of local estimates does not. Piece ends are hard stops. Each tracer
-    is its own ODE, so its final point is the same float as when it is
-    integrated alone. In ``stats``, ``steps_per_piece`` is the most steps
+    whole runs, so it sees how the flow amplifies earlier errors. Piece ends
+    are hard stops. Each tracer is its own ODE, so its final point is the
+    same float as when it is integrated alone. In ``stats``, ``steps_per_piece`` is the most steps
     any tracer took on one piece, and ``accepted``, ``rejected`` and
     ``evaluations`` count the steps and velocity evaluations of every run,
     summed over the tracers.
