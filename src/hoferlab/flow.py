@@ -291,10 +291,10 @@ def integrate(f: HamiltonianPath, cloud: TracerCloud, steps_per_piece: int = 256
     still misses ``tol`` after the last doubling. The estimate compares two
     whole runs, so it sees how the flow amplifies earlier errors. Piece ends
     are hard stops. Each tracer is its own ODE, so its final point is the
-    same float as when it is integrated alone. In ``stats``, ``steps_per_piece`` is the most steps
-    any tracer took on one piece, and ``accepted``, ``rejected`` and
-    ``evaluations`` count the steps and velocity evaluations of every run,
-    summed over the tracers.
+    same float as when it is integrated alone. In ``stats``,
+    ``steps_per_piece`` is the most steps any tracer took on one piece, and
+    ``accepted``, ``rejected`` and ``evaluations`` count the steps and
+    velocity evaluations of every run, summed over the tracers.
 
     A tracer coordinate that passes ``SAFETY_RADIUS`` or becomes NaN raises
     ``BlowUp``.
