@@ -45,11 +45,11 @@ class CommutatorBoundReport:
         return self.length_commutator <= self.bound * (1.0 + 1e-9) + 1e-9
 
 
-def commutator_bound_report(f: HamiltonianPath, theta: AffineSymplectic, k: int,
-                            grid=None) -> CommutatorBoundReport:
+def commutator_bound_report(f: HamiltonianPath, theta: AffineSymplectic,
+                            k: int) -> CommutatorBoundReport:
     comm = commutator_path(f, theta)
-    lf = ln.length_k(f, k, grid).total
-    lc = ln.length_k(comm, k, grid).total
+    lf = ln.length_k(f, k).total
+    lc = ln.length_k(comm, k).total
     return CommutatorBoundReport(k, lf, lc, 2.0 ** (k + 1) * lf)
 
 
@@ -60,12 +60,15 @@ def commutator_tracer_flow(f: HamiltonianPath, g: HamiltonianPath,
     Integrates the stages in composition order: reverse(g), reverse(f),
     then g, then f, with ``STAGE_STEPS`` steps per piece, so the final
     positions realize f g f^{-1} g^{-1} applied to the initial points. The
-    stats carry the largest of the four stages' step-error estimates.
+    stats have the keys of ``flow.integrate``'s: ``steps_per_piece`` and
+    ``max_step_error`` are the largest of the four stages', and the other
+    counts are their sums.
     """
-    pts, errors = cloud, []
+    pts, stages = cloud, []
     for stage in (reverse(g), reverse(f), g, f):
         fm = fl.integrate(stage, pts, STAGE_STEPS)
         pts = fm.final
-        errors.append(fm.stats["max_step_error"])
-    return fl.FlowMap(cloud, pts, "commutator",
-                      {"steps_per_stage": STAGE_STEPS, "max_step_error": max(errors)})
+        stages.append(fm.stats)
+    stats = {key: (max if key in ("steps_per_piece", "max_step_error") else sum)(
+        s[key] for s in stages) for key in stages[0]}
+    return fl.FlowMap(cloud, pts, "commutator", stats)

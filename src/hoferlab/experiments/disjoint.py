@@ -33,15 +33,13 @@ class DisjointBoundReport:
         return self.product_total <= self.bound * (1.0 + 1e-9) + 1e-9
 
 
-def disjoint_bound_check(paths, boxes, k: int, grid=None,
-                         time_samples: int = 65) -> DisjointBoundReport:
+def disjoint_bound_check(paths, boxes, k: int, time_samples: int = 65) -> DisjointBoundReport:
     """Validate supports on the coarse lengths' own time lattice, form the
-    product path, and measure the bound."""
-    grid = grid or paths[0].domain
-    product = disjoint_product(paths, boxes, grid, time_samples)
-    prod_rep = ln.coarse_length_k(product, k, grid, time_samples)
+    product path, and measure the bound, each on the paths' common domain."""
+    product = disjoint_product(paths, boxes, time_samples)
+    prod_rep = ln.coarse_length_k(product, k, time_samples=time_samples)
     member_totals = tuple(
-        ln.coarse_length_k(f, k, grid, time_samples).total for f in paths)
+        ln.coarse_length_k(f, k, time_samples=time_samples).total for f in paths)
     bound = 2.0 * (k + 1) * max(member_totals)
     ratio = prod_rep.total / bound if bound > 0 else 0.0
     return DisjointBoundReport(k, prod_rep.per_order, member_totals,

@@ -80,7 +80,7 @@ def square_displacement(area: float, k_max: int = 5):
 
     lengths = {}
     for k in range(k_max + 1):
-        lengths[k] = ln.length_k(path, k, grid, time_samples=10).total
+        lengths[k] = ln.length_k(path, k, time_samples=10).total
 
     rng = np.random.default_rng(0)
     pts = rng.uniform(0.0, a, (512, 2))

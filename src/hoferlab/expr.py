@@ -653,18 +653,6 @@ def point_env(points, t):
     return env
 
 
-def evaluate(e, points, t):
-    """Pointwise values of ``e`` at coordinate tuples ``points`` and time ``t``."""
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts.reshape(1, -1)
-    env = point_env(pts, t)
-    need = spatial_dimension(e)
-    if need > pts.shape[1]:
-        raise UnknownIdentifier(f"expression needs dimension {need}, points have {pts.shape[1]}")
-    return eval_array(e, env, pts.shape[0])
-
-
 def eval_array(e, env, n):
     """Values of ``e`` under ``env`` as a float array of length ``n``.
 

@@ -8,27 +8,13 @@ sum dx_i ^ dy_i against the field and equating with -dH, which gives
 Under this convention H = 2*x1 moves points by (0, 2t): a shift by 2t along
 y1, which is the validation example wired into the tests.
 
-Without a tolerance, integration is classical RK4 with fixed steps per
-piece, and each tracer's error estimate compares its run against a
-half-step run. RK4 is not symplectic. The subtrees the velocity components
-share are evaluated once per RK4 stage, the steps run on the cloud as (2n, N)
-coordinate rows, so every expression reads and writes contiguous rows, and
-the stage inputs and the update are formed in place, in the grouping of the
-textbook formula, and equal it bit for bit. The verify checks integrate this
-way.
-
-With a tolerance, each tracer is integrated by the embedded Dormand–Prince
-5(4) pair (Dormand & Prince, J. Comput. Appl. Math. 6, 1980) with its own
-step size, error control per tracer as in Hairer, Nørsett & Wanner, Solving
-Ordinary Differential Equations I, ch. II.4. The steps run on the rows of
-the tracers still short of the piece end, with t bound as a row, and the
-last stage of a step is the first of the next. No step is longer than
-1/steps_per_piece of its piece or moves its tracer more than one cell of the
-path's grid, and steps at a floor are taken without the local test, which
-bounds the work. The error estimate compares each tracer's run against a
-half-step run, as without a tolerance, so it sees how the flow amplifies
-earlier errors; a tracer whose estimate misses the tolerance is integrated
-again with its step bounds halved.
+``integrate`` runs each piece through one of two steppers on the cloud's
+(2n, N) coordinate rows: classical RK4 at fixed steps (``_rk4``, what the
+verify checks run; it is not symplectic), or, with a tolerance, the embedded
+Dormand–Prince 5(4) pair with a step size per tracer (``_dormand_prince``;
+Dormand & Prince, J. Comput. Appl. Math. 6, 1980; Hairer, Nørsett & Wanner,
+Solving Ordinary Differential Equations I, ch. II.4). Its docstring states
+the step rules, the error estimate and the stats.
 
 A displacement certificate returns at once when a region tracer ends inside
 the region; otherwise it takes the margin over blocks of at most
@@ -134,15 +120,23 @@ def _velocity(field, x, t):
     return out
 
 
-def _rk4(field, pts, t0, t1, steps):
-    """RK4 from the (N, 2n) cloud ``pts``; returns a C-ordered (N, 2n) array.
+def _check_box(x):
+    """Raise ``BlowUp`` when a coordinate of ``x`` passes ``SAFETY_RADIUS`` or is NaN."""
+    if not np.abs(x).max() <= SAFETY_RADIUS:      # a NaN coordinate fails too
+        raise BlowUp(f"tracer left the safety box (radius {SAFETY_RADIUS:g}) "
+                     "or became NaN")
 
-    The steps run on the (2n, N) coordinate rows. The stage inputs and the
-    update are formed in place, in the grouping of
+
+def _rk4(field, x, t0, t1, steps):
+    """Classical RK4 over the piece [t0, t1] in ``steps`` steps from the (2n, N) rows ``x``.
+
+    The stage inputs and the update are formed in place, in the grouping of
     x + (h/6)*(((k1 + 2*k2) + 2*k3) + k4), so each value is the same float.
+    ``x`` is overwritten with the rows at t1. Returns what ``_dormand_prince``
+    returns: each tracer's count of accepted steps, and the rejected steps
+    (none) and velocity evaluations (four per step) summed over the tracers.
     """
     h = (t1 - t0) / steps
-    x = pts.T.copy()
     y = np.empty_like(x)
     for n in range(steps):
         t = t0 + n * h
@@ -162,12 +156,9 @@ def _rk4(field, pts, t0, t1, steps):
         k2 += k3
         k2 += k4
         k2 *= h / 6.0
-        k2 += x
-        x = k2
-        if not np.abs(x).max() <= SAFETY_RADIUS:      # a NaN coordinate fails too
-            raise BlowUp(f"tracer left the safety box (radius {SAFETY_RADIUS:g}) "
-                         "or became NaN")
-    return x.T.copy()
+        x += k2
+        _check_box(x)
+    return np.full(x.shape[1], steps), 0, 4 * steps * x.shape[1]
 
 
 # Dormand & Prince (1980), RK5(4)7M: the stage nodes, the stage rows (the
@@ -239,9 +230,7 @@ def _dormand_prince(field, x, t0, t1, steps, tol, cell):
         np.copyto(x, y, where=ok)
         np.copyto(k[0], k[6], where=ok)
         k[1:] = [None] * 6
-        if not np.abs(x).max() <= SAFETY_RADIUS:      # a NaN coordinate fails too
-            raise BlowUp(f"tracer left the safety box (radius {SAFETY_RADIUS:g}) "
-                         "or became NaN")
+        _check_box(x)
         t = np.where(ok, np.where(ends, t1, t + h), t)
         accepted += ok
         rejected += active.size - int(np.count_nonzero(ok))
@@ -266,38 +255,45 @@ def integrate(f: HamiltonianPath, cloud: TracerCloud, steps_per_piece: int = 256
               tol: float = None) -> FlowMap:
     """Time-1 images of the tracers under the piecewise Hamiltonian flow.
 
-    Each tracer's error estimate compares its run against a half-step run;
-    ``stats["max_step_error"]`` is the largest. Without ``tol`` the run is
-    classical RK4 at ``steps_per_piece`` fixed steps per piece, and the
-    estimate is only reported. The velocity components of a piece share
-    their common subtrees (``expr.share_subtrees``), which are evaluated
-    once per RK4 stage on the cloud's (2n, N) coordinate rows, with the
-    stages formed in place (``_rk4``).
+    The velocity components of a piece share their common subtrees
+    (``expr.share_subtrees``), evaluated once per stage on the cloud's (2n, N)
+    coordinate rows. Each piece runs through one stepper. Without ``tol`` it
+    is classical RK4 at ``steps_per_piece`` fixed steps, with the stages
+    formed in place (``_rk4``).
 
-    With ``tol`` (0 < tol < inf) the run is the embedded Dormand–Prince 5(4)
-    pair with a step size per tracer (``_dormand_prince``). A step is
-    accepted when its local estimate is at most ``LOCAL_TOL * tol * h``; no
+    With ``tol`` (0 < tol < inf) it is the embedded Dormand–Prince 5(4) pair
+    with a step size per tracer (``_dormand_prince``): the steps run on the
+    rows of the tracers still short of the piece end, t is bound as a row,
+    and the last stage of a step is the first of the next. A step is
+    accepted when its local estimate is at most ``LOCAL_TOL * tol * h``. No
     step is longer than 1/``steps_per_piece`` of its piece, nor moves its
-    tracer more than the smallest spacing of ``f.domain`` along an axis,
-    and a step at the floor, 1/2**``FLOOR_HALVINGS`` of the longest, is
-    taken without the local test. The half-step run doubles the two step
-    bounds and multiplies the local tolerance by 2**4, as the local
-    estimate scales as h**4, so its steps are about twice as long wherever
-    they fall. Every tracer whose estimate misses ``tol`` (or is NaN) is
-    integrated again with the step bounds halved and the local tolerance
-    divided by 2**4, up to ``MAX_DOUBLINGS`` times; its previous result is
-    the new run's half-step run, so a round integrates once, and only the
-    tracers still missing. A ``StepErrorWarning`` says when some estimate
-    still misses ``tol`` after the last doubling. The estimate compares two
-    whole runs, so it sees how the flow amplifies earlier errors. Piece ends
-    are hard stops. Each tracer is its own ODE, so its final point is the
-    same float as when it is integrated alone. In ``stats``,
-    ``steps_per_piece`` is the most steps any tracer took on one piece, and
-    ``accepted``, ``rejected`` and ``evaluations`` count the steps and
-    velocity evaluations of every run, summed over the tracers.
+    tracer more than the smallest spacing of ``f.domain`` along an axis at
+    the velocity it starts from, so no step jumps a cutoff's transition band
+    wider than a cell. A step at the floor, 1/2**``FLOOR_HALVINGS`` of the
+    longest, is taken without the local test.
 
-    A tracer coordinate that passes ``SAFETY_RADIUS`` or becomes NaN raises
-    ``BlowUp``.
+    Each tracer's error estimate compares its run against a half-step run,
+    whose step bounds are doubled (with ``tol``, the local tolerance is
+    multiplied by 2**4 too, as the local estimate scales as h**4), so the
+    estimate sees how the flow amplifies earlier errors;
+    ``stats["max_step_error"]`` is the largest. Without ``tol`` the estimate
+    is only reported. With ``tol``, every tracer whose estimate misses
+    ``tol`` (or is NaN) is integrated again with the step bounds halved and
+    the local tolerance divided by 2**4, up to ``MAX_DOUBLINGS`` times; its
+    previous result is the new run's half-step run, so a round integrates
+    once, and only the tracers still missing. A ``StepErrorWarning`` says
+    when some estimate still misses ``tol`` after the last doubling. So no
+    run takes more than ``steps_per_piece`` * 2**(``MAX_DOUBLINGS`` +
+    ``FLOOR_HALVINGS``) steps per piece. Piece ends are hard stops. Each
+    tracer is its own ODE, so its final point is the same float as when it
+    is integrated alone.
+
+    ``stats`` holds ``steps_per_piece``, the most steps any tracer took on
+    one piece; ``pieces``; ``max_step_error``; and ``accepted``,
+    ``rejected`` and ``evaluations``, the steps and velocity evaluations of
+    every run summed over the tracers (RK4 rejects none and makes four
+    evaluations per step). A tracer coordinate that passes
+    ``SAFETY_RADIUS`` or becomes NaN raises ``BlowUp``.
     """
     if steps_per_piece < 2:
         # the error estimate needs a half-step run that differs from the run
@@ -311,23 +307,21 @@ def integrate(f: HamiltonianPath, cloud: TracerCloud, steps_per_piece: int = 256
                                   f"below the path's dimension {f.dimension}")
     fields = [(p.t_start, p.t_end, ex.share_subtrees(_gradient_field(p.hamiltonian, dim)))
               for p in f.pieces]
-    cell = None if tol is None else min(f.domain.spacings)
-    counts = {"steps_per_piece": 0, "accepted": 0, "rejected": 0, "evaluations": 0}
+    stats = {"steps_per_piece": 0, "pieces": len(f.pieces), "max_step_error": 0.0,
+             "accepted": 0, "rejected": 0, "evaluations": 0}
 
-    def run(x, steps):
-        if tol is None:
-            for t0, t1, vel in fields:
-                x = _rk4(vel, x, t0, t1, steps)
-            return x
+    def run(pts, steps):
         scale = steps / steps_per_piece
-        x = x.T.copy()
+        x = pts.T.copy()
         for t0, t1, vel in fields:
-            taken, rejected, evaluations = _dormand_prince(
-                vel, x, t0, t1, steps, LOCAL_TOL * tol / scale ** 4, cell / scale)
-            counts["steps_per_piece"] = max(counts["steps_per_piece"], int(taken.max()))
-            counts["accepted"] += int(taken.sum())
-            counts["rejected"] += rejected
-            counts["evaluations"] += evaluations
+            taken, rejected, evaluations = (
+                _rk4(vel, x, t0, t1, steps) if tol is None else _dormand_prince(
+                    vel, x, t0, t1, steps, LOCAL_TOL * tol / scale ** 4,
+                    min(f.domain.spacings) / scale))
+            stats["steps_per_piece"] = max(stats["steps_per_piece"], int(taken.max()))
+            stats["accepted"] += int(taken.sum())
+            stats["rejected"] += rejected
+            stats["evaluations"] += evaluations
         return x.T.copy()
 
     steps = steps_per_piece
@@ -346,12 +340,8 @@ def integrate(f: HamiltonianPath, cloud: TracerCloud, steps_per_piece: int = 256
         per[todo] = np.abs(new - final[todo]).max(axis=1)
         final[todo] = new
         todo = todo[~(per[todo] <= tol)]
-    stats = {"steps_per_piece": steps, "pieces": len(f.pieces),
-             "max_step_error": float(per.max())}
-    if tol is not None:
-        stats.update(counts)
-    path_hash = _hash_path(f)
-    return FlowMap(cloud, TracerCloud(final), path_hash, stats)
+    stats["max_step_error"] = float(per.max())
+    return FlowMap(cloud, TracerCloud(final), _hash_path(f), stats)
 
 
 def _hash_path(f):

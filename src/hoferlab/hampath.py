@@ -402,12 +402,13 @@ def first_leak(f: HamiltonianPath, grid: Grid, lo, hi, samples):
     return None
 
 
-def validate_disjoint_supports(paths, boxes, grid, samples):
-    """Sampling check that each path's Hamiltonian vanishes outside its box at
-    every time of its ``lattice(samples)``, and that the boxes are disjoint."""
+def validate_disjoint_supports(paths, boxes, samples):
+    """Sampling check that each path's Hamiltonian vanishes outside its box on
+    its own domain at every time of its ``lattice(samples)``, and that the
+    boxes are disjoint."""
     boxes = box_corners(paths, boxes)
     for i, (f, (lo, hi)) in enumerate(zip(paths, boxes)):
-        t = first_leak(f, grid, lo, hi, samples)
+        t = first_leak(f, f.domain, lo, hi, samples)
         if t is not None:
             raise SupportOverlap(f"path {i} leaks outside its declared box at t={t}")
     for i in range(len(boxes)):
@@ -418,16 +419,16 @@ def validate_disjoint_supports(paths, boxes, grid, samples):
                 raise SupportOverlap(f"declared boxes {i} and {j} intersect")
 
 
-def disjoint_product(paths, boxes, grid, samples) -> HamiltonianPath:
+def disjoint_product(paths, boxes, samples) -> HamiltonianPath:
     """Pointwise sum of disjointly supported paths on a common division.
 
     The sum generates the simultaneous (= composed, by disjointness) flow.
-    Supports in ``boxes`` are validated by sampling on ``grid`` at the times
-    of the ``samples``-point lattice.
+    Supports in ``boxes`` are validated by sampling on the paths' common
+    domain at the times of the ``samples``-point lattice.
     """
     paths = list(paths)
     common_domain(paths)
-    validate_disjoint_supports(paths, boxes, grid, samples)
+    validate_disjoint_supports(paths, boxes, samples)
     division = _common_division(paths)
     pieces = []
     for a, b in zip(division, division[1:]):

@@ -256,7 +256,7 @@ def check_disjoint_bound(seed):
         k = j % 3
         paths = [_bump_path_in_box(rng, c, grid) for c in centers[:m]]
         boxes = [((c[0] - 0.5, c[1] - 0.5), (c[0] + 0.5, c[1] + 0.5)) for c in centers[:m]]
-        rep = disjoint_bound_check(paths, boxes, k, grid, time_samples=33)
+        rep = disjoint_bound_check(paths, boxes, k, time_samples=33)
         ok = ok and rep.ok()
         worst_ratio = max(worst_ratio, rep.ratio)
     return {"passed": bool(ok),
@@ -381,8 +381,8 @@ def check_half_space_shift(seed=None):
     g2 = hp.conjugate(f, hp.AffineSymplectic.translation([1.5, 0.0]))
     dev = 0.0
     for k in (0, 1, 2):
-        a = ln.length_k(f, k, grid, time_samples=10).total
-        b = ln.length_k(g2, k, grid, time_samples=10).total
+        a = ln.length_k(f, k, time_samples=10).total
+        b = ln.length_k(g2, k, time_samples=10).total
         dev = max(dev, abs(a - b) / max(a, 1e-300))
     passed = cert.ok() and dev <= 1e-6
     return {"passed": bool(passed),
@@ -402,7 +402,7 @@ def check_commutator(seed=None):
 
     f = gauss_path(0.0, 0.0, 0.9)
     # identity conjugator: flow of the spliced path is the identity
-    comm_id = commutator_bound_report(f, hp.AffineSymplectic.identity(2), 2, g)
+    comm_id = commutator_bound_report(f, hp.AffineSymplectic.identity(2), 2)
     cloud = fl.TracerCloud(rng.uniform(-1.0, 1.0, (24, 2)))
     path_id = commutator_tracer_flow(f, hp.autonomous_path(ex.const(0.0), 2, g), cloud)
     id_err = float(np.abs(path_id.final.points - cloud.points).max())
@@ -410,7 +410,7 @@ def check_commutator(seed=None):
     theta = hp.AffineSymplectic(
         np.array([[np.cos(1.0), -np.sin(1.0)], [np.sin(1.0), np.cos(1.0)]]),
         np.zeros(2))
-    comm_rot = commutator_bound_report(f, theta, 2, g)
+    comm_rot = commutator_bound_report(f, theta, 2)
     rot_ok = comm_rot.ok()
     # disjoint supports: the maps commute, tracer commutator is the identity
     f1 = gauss_path(-3.0, -3.0, 0.8)

@@ -21,6 +21,8 @@ from hoferlab.experiments import commutator, displacement, shell_family
 from hoferlab.experiments.shell_family import MIRROR_OFFSET, ShellFamilySpec
 from hoferlab.grid import Grid
 
+from pointwise import evaluate
+
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
@@ -42,7 +44,7 @@ def test_shell_expression_matches_direct_formula():
     x = rho * np.cos(th)
     y = 2 * t + rho * np.sin(th)
     pts = np.stack([x, y], axis=1)
-    got = E.evaluate(h, pts, t)
+    got = evaluate(h, pts, t)
     want = direct_shell_formula(x, y, t, 4)
     assert np.abs(got - want).max() < 1e-12
 
@@ -57,7 +59,7 @@ def test_shell_support_is_exactly_the_shell():
                           rng.uniform(hi + 1e-9, 3.0, 200)])
     th = rng.uniform(0, 2 * np.pi, 400)
     pts = np.stack([rho * np.cos(th), 2 * t + rho * np.sin(th)], axis=1)
-    assert np.abs(E.evaluate(h, pts, t)).max() == 0.0
+    assert np.abs(evaluate(h, pts, t)).max() == 0.0
 
 
 def test_shell_norm_time_invariant():
@@ -237,7 +239,7 @@ def test_commutator_bound_affine_rotation():
         np.array([[np.cos(0.8), -np.sin(0.8)], [np.sin(0.8), np.cos(0.8)]]),
         np.zeros(2))
     for k in (0, 1, 2):
-        rep = commutator_bound_report(f, theta, k, grid)
+        rep = commutator_bound_report(f, theta, k)
         assert rep.ok()
         assert rep.bound == pytest.approx(2.0 ** (k + 1) * rep.length_f, rel=1e-12)
 
@@ -259,10 +261,17 @@ def test_commutator_disjoint_supports_commute(monkeypatch):
     monkeypatch.setattr(fl, "integrate", lambda *a: stages.append(integrate(*a)) or stages[-1])
     fm = commutator_tracer_flow(f, g, cloud)
     assert np.abs(fm.final.points - cloud.points).max() < 1e-7
-    # the stats carry the largest step-error estimate of the four stages
+    # the stats have integrate's keys: the largest step count and step-error
+    # estimate of the four stages, and the sums of their counts
     assert [s.stats["steps_per_piece"] for s in stages] == [commutator.STAGE_STEPS] * 4
-    assert fm.stats["steps_per_stage"] == commutator.STAGE_STEPS
+    assert fm.stats.keys() == stages[0].stats.keys()
+    assert fm.stats["steps_per_piece"] == commutator.STAGE_STEPS
     assert 0.0 < fm.stats["max_step_error"] == max(s.stats["max_step_error"] for s in stages)
+    for key in ("pieces", "accepted", "rejected", "evaluations"):
+        assert fm.stats[key] == sum(s.stats[key] for s in stages), key
+    steps = commutator.STAGE_STEPS + commutator.STAGE_STEPS // 2
+    assert fm.stats["accepted"] == steps * fm.stats["pieces"] * len(cloud.points)
+    assert fm.stats["evaluations"] == 4 * fm.stats["accepted"] and fm.stats["rejected"] == 0
 
 
 # --- constants ledger ---
@@ -322,7 +331,7 @@ def _bump_path(cx, cy, amp, grid):
 def test_disjoint_bound_single_path_trivial():
     grid = Grid.box([-4.0, -4.0], [4.0, 4.0], (24, 24))
     f = _bump_path(0.0, 0.0, 1.0, grid)
-    rep = disjoint_bound_check([f], [((-0.5, -0.5), (0.5, 0.5))], 1, grid)
+    rep = disjoint_bound_check([f], [((-0.5, -0.5), (0.5, 0.5))], 1)
     assert rep.ok() and rep.ratio <= 1.0
 
 
@@ -336,7 +345,7 @@ def test_disjoint_bound_two_and_three_members():
         boxes = [((c[0] - 0.5, c[1] - 0.5), (c[0] + 0.5, c[1] + 0.5))
                  for c in centers[:m]]
         for k in (0, 1, 2):
-            rep = disjoint_bound_check(paths, boxes, k, grid)
+            rep = disjoint_bound_check(paths, boxes, k)
             assert rep.ok()
             assert len(rep.product_per_order) == k + 1
 
@@ -347,6 +356,6 @@ def test_disjoint_bound_measured_ratio_two_translated_copies():
     grid = Grid.box([-4.0, -4.0], [4.0, 4.0], (36, 36))
     paths = [_bump_path(-2.0, 0.0, 1.0, grid), _bump_path(2.0, 0.0, -1.0, grid)]
     boxes = [((-2.5, -0.5), (-1.5, 0.5)), ((1.5, -0.5), (2.5, 0.5))]
-    rep = disjoint_bound_check(paths, boxes, 0, grid)
+    rep = disjoint_bound_check(paths, boxes, 0)
     assert rep.ok()
     assert rep.ratio <= 1.0

@@ -85,10 +85,11 @@ def _column_velocity(field, pts, t):
     return out
 
 
-def _allocating_rk4(field, pts, t0, t1, steps):
-    """RK4 before in-place stages: the textbook expressions on (N, 2n) points."""
+def _allocating_rk4(field, rows, t0, t1, steps):
+    """RK4 before in-place stages: the textbook expressions on (N, 2n) points,
+    read from and written back to the (2n, N) ``rows``, with ``_rk4``'s counts."""
     h = (t1 - t0) / steps
-    x = pts.copy()
+    x = rows.T.copy()
     for n in range(steps):
         t = t0 + n * h
         k1 = _column_velocity(field, x, t)
@@ -98,7 +99,8 @@ def _allocating_rk4(field, pts, t0, t1, steps):
         x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if np.abs(x).max() > F.SAFETY_RADIUS:
             raise BlowUp("tracer left the safety box")
-    return x
+    rows[...] = x.T
+    return np.full(len(x), steps), 0, 4 * steps * len(x)
 
 
 def _gaussian(amp, cx, cy):
@@ -380,10 +382,18 @@ def test_pair_counts_match_a_wrapped_velocity(monkeypatch):
     velocity = F._velocity
 
     def counting(field, x, t):
-        calls.append((x.shape[1], float(t[0])))
+        calls.append((x.shape[1], float(np.ravel(t)[0])))
         return velocity(field, x, t)
 
     monkeypatch.setattr(F, "_velocity", counting)
+    # without tol, RK4 counts four evaluations per step of the run (4 steps
+    # per piece) and of its half-step run (2), on every tracer of both pieces
+    fm = F.integrate(f, F.TracerCloud(pts), 4)
+    steps = (4 + 2) * 2 * len(pts)
+    assert fm.stats["evaluations"] == sum(n for n, _ in calls) == 4 * steps
+    assert (fm.stats["accepted"], fm.stats["rejected"]) == (steps, 0)
+    assert (fm.stats["steps_per_piece"], fm.stats["pieces"]) == (4, 2)
+    calls.clear()
     fm = F.integrate(f, F.TracerCloud(pts), 4, tol=1e-9)
     assert fm.stats["evaluations"] == sum(n for n, _ in calls)
     want = np.zeros(2, dtype=int)

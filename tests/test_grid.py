@@ -8,13 +8,15 @@ from hoferlab import expr as E
 from hoferlab import grid as G
 from hoferlab.errors import ParameterOutOfRange
 
+from pointwise import evaluate
+
 
 def box(res=16, half=4.0):
     return G.Grid.box([-half, -half], [half, half], (res, res))
 
 
 def sample(src, g, t=0.0):
-    return E.evaluate(E.parse(src), g.points(), t)
+    return evaluate(E.parse(src), g.points(), t)
 
 
 def test_constant_field_oscillation_zero():
@@ -48,7 +50,7 @@ def test_shell_oscillation_against_1d_oracle():
     profile = 2.0 * xs * E.step_values(xs - 1.0, 0.25, 0.75)
     oracle_max = profile.max()
     g = box(1200, 2.0)
-    osc = G.oscillation(E.evaluate(e, g.points(), 0.0))
+    osc = G.oscillation(evaluate(e, g.points(), 0.0))
     assert 0.0 < osc <= 2 * 2.0 * (1 + 0.75)
     assert osc == pytest.approx(2.0 * oracle_max, rel=2e-3)
 

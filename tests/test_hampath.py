@@ -13,6 +13,8 @@ from hoferlab import lengths as L
 from hoferlab.errors import NotMonotone, ParameterOutOfRange, SupportOverlap
 from hoferlab.grid import Grid
 
+from pointwise import evaluate
+
 GRID = Grid.box([-2.0, -2.0], [2.0, 2.0], (16, 16))
 TORUS = Grid.torus([1.0, 1.0], (8, 8))
 SCHEMAS = pathlib.Path(__file__).resolve().parent.parent / "src" / "hoferlab" / "schemas"
@@ -24,7 +26,7 @@ def path_of(*specs):
 
 
 def eval_path(f, t, pts):
-    return E.evaluate(f.piece_at(t).hamiltonian, pts, t)
+    return evaluate(f.piece_at(t).hamiltonian, pts, t)
 
 
 def test_tiling_validation():
@@ -128,7 +130,7 @@ def test_concatenate_rejects_mismatched_paths():
                            2, far)
     boxes = [((-1.0, -1.0), (1.0, 1.0)), ((6.0, 6.0), (8.0, 8.0))]
     for splice in (lambda: hp.concatenate(f, g),
-                   lambda: hp.disjoint_product([f, g], boxes, far, 33)):
+                   lambda: hp.disjoint_product([f, g], boxes, 33)):
         with pytest.raises(ValueError, match=r"different domains.*\[5\.0, 5\.0\]"):
             splice()
 
@@ -255,9 +257,9 @@ def test_affine_inverse_and_apply():
 def test_disjoint_product_single():
     # one path in its box: its support is still checked, and the sum is the path
     f = bump_path(0.0, 0.0)
-    assert hp.disjoint_product([f], [((-0.75, -0.75), (0.75, 0.75))], GRID, 33) == f
+    assert hp.disjoint_product([f], [((-0.75, -0.75), (0.75, 0.75))], 33) == f
     with pytest.raises(SupportOverlap):
-        hp.disjoint_product([f], [((0.5, 0.5), (1.5, 1.5))], GRID, 33)
+        hp.disjoint_product([f], [((0.5, 0.5), (1.5, 1.5))], 33)
 
 
 def bump_path(cx, cy, t0=0.0, t1=1.0):
@@ -270,7 +272,7 @@ def test_disjoint_product_sum_and_division():
     g = path_of((0.0, 0.5, "step((x1 - 1)/0.4, 0.5, 1)*step((y1 - 1)/0.4, 0.5, 1)"),
                 (0.5, 1.0, "2*step((x1 - 1)/0.4, 0.5, 1)*step((y1 - 1)/0.4, 0.5, 1)"))
     boxes = [((-1.5, -1.5), (-0.5, -0.5)), ((0.5, 0.5), (1.5, 1.5))]
-    prod = hp.disjoint_product([f, g], boxes=boxes, grid=GRID, samples=33)
+    prod = hp.disjoint_product([f, g], boxes=boxes, samples=33)
     assert [p.t_start for p in prod.pieces] == [0.0, 0.5]
     pts = np.array([[-1.0, -1.0], [1.0, 1.0]])
     vals = eval_path(prod, 0.75, pts)
@@ -283,7 +285,7 @@ def test_disjoint_product_rejects_overlap():
     g = bump_path(0.2, 0.0)
     boxes = [((-0.5, -0.5), (0.5, 0.5)), ((-0.3, -0.5), (0.7, 0.5))]
     with pytest.raises(SupportOverlap):
-        hp.disjoint_product([f, g], boxes=boxes, grid=GRID, samples=33)
+        hp.disjoint_product([f, g], boxes=boxes, samples=33)
 
 
 def test_disjoint_product_rejects_leaky_support():
@@ -291,22 +293,21 @@ def test_disjoint_product_rejects_leaky_support():
     g = bump_path(1.0, 1.0)
     boxes = [((-0.5, -0.5), (0.5, 0.5)), ((0.5, 0.5), (1.5, 1.5))]
     with pytest.raises(SupportOverlap):
-        hp.disjoint_product([f, g], boxes=boxes, grid=GRID, samples=33)
+        hp.disjoint_product([f, g], boxes=boxes, samples=33)
 
 
 def test_validate_disjoint_supports_needs_one_box_per_path():
     p = bump_path(0.0, 0.0)
     box = ((-0.75, -0.75), (0.75, 0.75))
-    hp.validate_disjoint_supports([p], [box], GRID, 33)
+    hp.validate_disjoint_supports([p], [box], 33)
     # two identical paths with one box: before, only the first was checked
     with pytest.raises(ValueError, match="2 paths, 1 boxes"):
-        hp.validate_disjoint_supports([p, p], [box], GRID, 33)
+        hp.validate_disjoint_supports([p, p], [box], 33)
     # a 1-D corner of a 2-D path: before, it was broadcast over both axes
     with pytest.raises(ValueError, match=r"boxes\[0\]"):
-        hp.validate_disjoint_supports([p], [((-0.5,), (0.5,))], GRID, 33)
+        hp.validate_disjoint_supports([p], [((-0.5,), (0.5,))], 33)
     with pytest.raises(ValueError, match=r"boxes\[0\]"):
-        hp.disjoint_product([p], boxes=[(box[0], box[1], box[1])], grid=GRID,
-                             samples=33)
+        hp.disjoint_product([p], boxes=[(box[0], box[1], box[1])], samples=33)
 
 
 BUMP = "step(x1/0.8, 0.5, 1)*step(y1/0.8, 0.5, 1)"
@@ -338,7 +339,7 @@ def test_disjoint_product_checks_every_lattice_time():
     boxes = [((-3.1, -3.1), (-2.1, -2.1)), ((2.1, 2.1), (3.1, 3.1))]
     assert hp.first_leak(moving, grid, *boxes[0], 5) is None
     with pytest.raises(SupportOverlap, match=r"path 0 leaks .* at t=0\.03125$"):
-        hp.disjoint_product([moving, still], boxes, grid, 33)
+        hp.disjoint_product([moving, still], boxes, 33)
 
 
 def _corpus_paths_of_both_types():

@@ -16,6 +16,8 @@ from hoferlab.errors import ParameterOutOfRange
 from hoferlab.experiments import square_displacement
 from hoferlab.grid import Grid
 
+from pointwise import evaluate
+
 GRID = Grid.box([-2.0, -2.0], [2.0, 2.0], (20, 20))
 BUMP = "step(x1/0.8, 0.5, 1)*step(y1/0.8, 0.5, 1)"   # plateau max exactly 1
 
@@ -41,7 +43,7 @@ def test_linear_time_closed_form():
     assert rep.per_order[1] == pytest.approx(1.0, rel=1e-12)
     assert rep.total == pytest.approx(1.5, rel=1e-12)
     # L_p sizes scale the same way: per-order (c/2, c), on one piece or two
-    c = G.lp_norm(E.evaluate(E.parse(BUMP), GRID.points(), 0.0), 0.5, GRID.cell_volume)
+    c = G.lp_norm(evaluate(E.parse(BUMP), GRID.points(), 0.0), 0.5, GRID.cell_volume)
     split = path_of((0.0, 0.5, f"t*{BUMP}"), (0.5, 1.0, f"t*{BUMP}"))
     for g in (f, split):
         rep = L.length_kp(g, 1, 0.5, GRID, 10)
@@ -253,7 +255,7 @@ def test_per_piece_rows_match_per_node_oracle():
                 nodes, weights = L.gauss_legendre_panels(piece.t_start, piece.t_end, 2)
                 want = np.zeros(k + 1)
                 for t, w in zip(nodes, weights):
-                    want += w * np.array([size(E.evaluate(d, pts, t)) for d in chain])
+                    want += w * np.array([size(evaluate(d, pts, t)) for d in chain])
                 assert row == tuple(float(v) for v in want)
 
 
