@@ -526,8 +526,11 @@ def _series_exp(a):
 
 
 def step_values(s, inner, outer, deriv=0):
-    """Evaluate the deriv-th derivative of the plateau cutoff at points ``s``."""
-    s = np.asarray(s, dtype=float)
+    """Evaluate the deriv-th derivative of the plateau cutoff at points ``s``.
+
+    The values have the array type of ``s``, so a ``_TimeColumn`` stays one.
+    """
+    s = np.asanyarray(s, dtype=float)
     scalar = s.ndim == 0
     s = np.atleast_1d(s)
     out = np.zeros_like(s)
@@ -599,6 +602,26 @@ def spatial_dimension(e):
     return 2 * n
 
 
+def _scalar_power(base, n):
+    """``base ** n`` for a float ``base``, with the libm power that Python's float
+    ``**`` calls; ±inf where it overflows, as numpy's array power gives."""
+    try:
+        return float(base) ** n
+    except OverflowError:
+        return math.inf if n % 2 == 0 or base > 0 else -math.inf
+
+
+class _TimeColumn(np.ndarray):
+    """Float64 values at a column of time nodes whose ``**`` takes the scalar power
+    value by value (numpy's array power differs from it in the last bit on a few
+    percent of values). The other operations and the DSL's functions give the
+    same floats on an array as on each of its values, so a subtree of t alone
+    evaluated on a column equals it evaluated once per time node with a scalar t."""
+
+    def __pow__(self, n):
+        return np.array([_scalar_power(v, n) for v in self.tolist()]).view(_TimeColumn)
+
+
 def eval_env(e, env):
     """Evaluate with ``env`` mapping variable names to floats or arrays."""
     if isinstance(e, Const):
@@ -626,7 +649,9 @@ def eval_env(e, env):
         base = eval_env(e.base, env)
         if e.exponent < 0 and np.any(base == 0):
             raise DomainError("zero base with negative exponent")
-        return base ** e.exponent
+        if isinstance(base, np.ndarray):
+            return base ** e.exponent
+        return _scalar_power(base, e.exponent)
     if isinstance(e, Call):
         return _FUNCTIONS[e.func][0](eval_env(e.arg, env))
     if isinstance(e, Step):
@@ -711,14 +736,19 @@ def share_subtrees(expressions):
         if not children:
             return e
         mixed = deps[key] == _T | _X
-        out = replace(e, **{k: rewrite(c, mixed) for k, c in children.items()})
+        new = {k: rewrite(c, mixed) for k, c in children.items()}
+        out = e if all(new[k] is c for k, c in children.items()) else replace(e, **new)
         if uses[key] > 1 or (hoist and not mixed):
             names[key] = Var(f"_{len(assignments)}")
             assignments.append((names[key].name, out, deps[key]))
             return names[key]
         return out
 
-    return assignments, [rewrite(e, True) for e in expressions]
+    rewritten = [rewrite(e, True) for e in expressions]
+    # each recursive closure refers to itself through its cell; emptying the cells
+    # lets reference counting free the plan's bookkeeping, with no cycle left behind
+    del count, rewrite
+    return assignments, rewritten
 
 
 # --- time-blocked evaluation of derivative chains ---
@@ -734,12 +764,13 @@ def eval_over_time(expressions, points, times):
     array whose rows equal ``eval_array`` of expression i at those times.
 
     The expressions are planned by ``share_subtrees``. Its t-free subtrees
-    (the spatial cutoffs) are evaluated once. Its subtrees of t alone are
-    evaluated node by node with a scalar t, as in a per-node loop, so their
-    values do not depend on how numpy's array functions round. The rest is
-    evaluated with t bound to a column of at most max(1, TABLE_BLOCK // N)
-    time nodes, each shared subtree once per block, so a block array holds
-    at most max(TABLE_BLOCK, N) values.
+    (the spatial cutoffs) are evaluated once. Each subtree of t alone is
+    evaluated once, with t bound to the whole ``times`` column as a
+    ``_TimeColumn``, whose powers are taken value by value, so its values
+    are the floats a scalar t gives. The rest is evaluated with t bound to
+    a column of at most max(1, TABLE_BLOCK // N) time nodes, each shared
+    subtree once per block, so a block array holds at most
+    max(TABLE_BLOCK, N) values.
     """
     assignments, chain = share_subtrees(expressions)
     points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -751,13 +782,11 @@ def eval_over_time(expressions, points, times):
             env[name] = eval_env(e, env)
     t_only = [(name, e) for name, e, uses in assignments if uses == _T]
     mixed = [(name, e) for name, e, uses in assignments if uses == _T | _X]
-    consts = {name: env[name] for name, _, uses in assignments if not uses}
+    over_t = {name: env[name] for name, _, uses in assignments if not uses}
+    over_t["t"] = times.view(_TimeColumn)
     columns = np.empty((len(times), len(t_only)))
-    for row, t in zip(columns, times.tolist()):
-        scalars = dict(consts, t=t)
-        for j, (name, e) in enumerate(t_only):
-            scalars[name] = eval_env(e, scalars)
-            row[j] = scalars[name]
+    for j, (name, e) in enumerate(t_only):
+        over_t[name] = columns[:, j] = eval_env(e, over_t)
     block = max(1, TABLE_BLOCK // n)
     for start in range(0, len(times), block):
         rows = slice(start, start + block)

@@ -101,16 +101,22 @@ class Grid:
         raise GeometryError(f"unknown geometry {spec['geometry']!r}")
 
 
-def oscillation(values) -> float:
-    """max - min of the samples; the L_infty size of a normalized field."""
-    return float(values.max() - values.min())
+def oscillation(values):
+    """max - min of the samples; the L_infty size of a normalized field. A (rows, N)
+    block gives one size per row, as each row alone does."""
+    osc = values.max(axis=-1) - values.min(axis=-1)
+    return float(osc) if osc.ndim == 0 else osc
 
 
-def lp_norm(values, p: float, cell_volume: float) -> float:
-    """(sum |v|^p * cell_volume)^(1/p); a quasinorm for 0 < p < 1."""
+def lp_norm(values, p: float, cell_volume: float):
+    """(sum |v|^p * cell_volume)^(1/p); a quasinorm for 0 < p < 1. A (rows, N) block
+    gives one norm per row, as each row alone does: the sum runs over the last axis,
+    and the root is the scalar power, value by value."""
     if not 0 < p < math.inf:
         raise ParameterOutOfRange("p", "p must be a finite number > 0")
-    return (float(np.sum(np.abs(values) ** p)) * cell_volume) ** (1.0 / p)
+    sums = np.sum(np.abs(values) ** p, axis=-1) * cell_volume
+    roots = [s ** (1.0 / p) for s in np.ravel(sums).tolist()]
+    return roots[0] if sums.ndim == 0 else np.array(roots)
 
 
 def leaks(values, outside) -> bool:

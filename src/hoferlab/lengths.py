@@ -82,16 +82,17 @@ def _time_rule(piece, time_samples):
 def _size_table(expressions, pts, times, size):
     """(times x expressions) table of ``size`` of each expression sampled on ``pts``.
 
-    ``size`` maps one (N,) row of samples to a float; the spatial sizes are
-    ``grid.oscillation`` and ``grid.lp_norm``. Every length functional is a
-    reduction of this table. The values come from ``expr.eval_over_time`` in
-    blocks of time nodes, so one block of at most ``expr.TABLE_BLOCK`` values
-    (or one (N,) row, when N is larger) is alive per evaluation and per shared
-    mixed subtree, plus one (N,) array per t-free subtree.
+    ``size`` maps a (rows, N) block of samples, one row per time node, to one
+    float per row; the spatial sizes are ``grid.oscillation`` and
+    ``grid.lp_norm``. Every length functional is a reduction of this table.
+    The values come from ``expr.eval_over_time`` in blocks of time nodes, so
+    one block of at most ``expr.TABLE_BLOCK`` values (or one (N,) row, when N
+    is larger) is alive per evaluation and per shared mixed subtree, plus one
+    (N,) array per t-free subtree, and each block is sized in one call.
     """
     table = np.empty((len(times), len(expressions)))
     for rows, i, vals in ex.eval_over_time(expressions, pts, times):
-        table[rows, i] = [size(row) for row in vals]
+        table[rows, i] = size(vals)
     return table
 
 
@@ -142,7 +143,7 @@ def _torus_sizes(piece, k, pts, nodes):
     # |d^i lambda_j / dt^i| per (node, j, i); the coefficients depend on t
     # only, so one sample point suffices. The l^1 sum runs over j in order.
     coeffs = [d for lam in piece.harmonic for d in ex.time_derivatives(lam, k)]
-    per_coeff = _size_table(coeffs, pts[:1], nodes, lambda v: abs(float(v[0])))
+    per_coeff = _size_table(coeffs, pts[:1], nodes, lambda v: np.abs(v[:, 0]))
     per_coeff = per_coeff.reshape(len(nodes), len(piece.harmonic), k + 1)
     l1 = sum(per_coeff[:, j] for j in range(len(piece.harmonic)))
     return l1 + _size_table(ex.time_derivatives(piece.exact, k), pts, nodes, oscillation)
@@ -208,7 +209,7 @@ def flux_harmonic(phi: TorusSymplecticPath) -> np.ndarray:
     for piece in phi.pieces:
         nodes, weights = _time_rule(piece, 20)
         # contiguous rows: np.dot sums a strided column in another order
-        vals = _size_table(piece.harmonic, origin, nodes, lambda v: float(v[0])).T.copy()
+        vals = _size_table(piece.harmonic, origin, nodes, lambda v: v[:, 0]).T.copy()
         for j in range(phi.dimension):
             out[j] += float(np.dot(weights, vals[j]))
     return out

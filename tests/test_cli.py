@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -324,6 +325,22 @@ def test_flow_that_turns_nan_exits_one(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "NaN" in captured.err and captured.out == ""
     assert not (tmp_path / "o").exists()
+
+
+def test_a_power_of_t_alone_that_overflows_reads_inf(tmp_path, capsys):
+    # (t + 1e200)^2 overflows in a subtree of t alone: it is inf, as an overflow in
+    # x is, so the length reads Infinity and the flow leaves the safety box
+    grid = grid_json(tmp_path, [-2.0, -2.0], [2.0, 2.0], [16, 16])
+    with pytest.warns(SupportMarginWarning):
+        assert run_cli("length", "--hamiltonian", "x1*(t+1e200)^2", "--grid", grid,
+                       "--kind", "k", "--k", "0") == 0
+    assert json.loads(capsys.readouterr().out)["total"] == math.inf
+    cloud = tmp_path / "cloud.csv"
+    cloud.write_text("x1,y1\n0.1,0.2\n")
+    assert run_cli("flow", "--hamiltonian", "x1*(t+1e200)^2", "--grid", grid,
+                   "--cloud", str(cloud), "--steps", "2") == 1
+    captured = capsys.readouterr()
+    assert "safety box" in captured.err and captured.out == ""
 
 
 def test_flow_tol_doubles_each_tracer_and_exits_one_on_a_miss(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Parser, printer, differentiation, and cutoff evaluation."""
 
+import gc
 import math
 from dataclasses import replace
 from unittest import mock
@@ -361,6 +362,9 @@ def _same(a, b):
 @example(E.Div(E.Var("t"), E.Var("x1")))
 # one sin(t) object inside the t-only sin(t)^3 and, by identity, in the next entry
 @example(E.Mul(E.IntPow(E.Call("sin", E.Var("t")), 3), E.Var("x1")))
+# powers of a Step of t, whose values must keep the column's scalar power
+@example(E.parse("x1*(2.3*step(t-0.3,0.1,0.5))^3"))
+@example(E.parse("x1*step(t-0.3,0.1,0.5)^3 + x1*(t+0.1)^-2"))
 @settings(max_examples=300, deadline=None)
 def test_eval_over_time_matches_per_node_eval(tree):
     # a derivative chain shares subtrees between its entries; leaves are rows too
@@ -384,6 +388,36 @@ def test_eval_over_time_hoists_the_cutoffs():
         table = _kernel_table(chain, _ORACLE_PTS, times)
     assert spy.call_count == 2
     assert np.array_equal(table, _per_node_table(chain, _ORACLE_PTS, times))
+
+
+def test_powers_of_a_step_of_t_match_per_node_eval_on_a_fine_time_grid():
+    # the array power and the scalar one differ on a few percent of values, too
+    # few for the oracle's five times to show a Step that loses the column type
+    times = np.linspace(0.0, 1.0, 4001)
+    for source in ("x1*(2.3*step(t-0.3,0.1,0.5))^3", "x1*step(t-0.3,0.1,0.5)^3 + x1*(t+0.1)^-2"):
+        exprs = [E.parse(source)]
+        assert np.array_equal(_kernel_table(exprs, [(1.0, 0.0)], times),
+                              _per_node_table(exprs, [(1.0, 0.0)], times)), source
+
+
+def test_the_functions_on_an_array_equal_their_scalar_calls():
+    # eval_over_time evaluates subtrees of t alone on a column of times and takes
+    # only its powers value by value: a CPU or numpy build whose array kernels round
+    # otherwise than their scalar calls would change the lengths' bytes
+    v = np.random.default_rng(20).uniform(-4.0, 4.0, 20000)
+    for name, (kernel, _) in E._FUNCTIONS.items():
+        u = np.abs(v) if name == "sqrt" else v
+        assert np.array_equal(kernel(u), [kernel(x) for x in u.tolist()]), name
+
+
+def test_a_power_that_overflows_gives_inf():
+    # as numpy's array power does, for a scalar base and on a column of times
+    for source, want in (("(t+1e200)^2", math.inf), ("(t-1e200)^3", -math.inf),
+                         ("(t-1e200)^2", math.inf), ("((t+1)*1e-200)^-2", math.inf)):
+        e = E.parse(source)
+        assert E.eval_env(e, {"t": 0.5}) == want
+        [(_, _, vals)] = E.eval_over_time([E.mul(e, E.Var("x1"))], [(2.0, 0.0)], [0.0, 0.5])
+        assert np.all(vals == 2 * want)
 
 
 # --- share_subtrees against eval_env on the originals (the oracle) ---
@@ -449,3 +483,25 @@ def test_share_subtrees_evaluates_the_gaussian_factor_once():
     for i, (_, e, _) in enumerate(assignments):
         assert {v for v in E.variables(e) if v.startswith("_")} <= {
             name for name, _, _ in assignments[:i]}
+
+
+def test_share_subtrees_keeps_a_tree_it_renames_nothing_in():
+    # no repeated node and none mixing t with x/y: the plan holds the tree itself
+    spatial = E.parse("sin(x1)*y1 + exp(-x1^2)")
+    [(_, tree, uses)], [top] = E.share_subtrees([spatial])
+    assert tree is spatial and uses == E._X and top == E.Var("_0")
+    # a mixed node whose children are leaves is kept as well
+    mixed = E.parse("t*x1")
+    assignments, [top] = E.share_subtrees([mixed])
+    assert assignments == [] and top is mixed
+
+
+def test_share_subtrees_leaves_no_reference_cycle():
+    h = corpus.random_path(np.random.default_rng(3)).pieces[0].hamiltonian
+    gc.collect()
+    gc.disable()
+    try:
+        E.share_subtrees(E.time_derivatives(h, 3))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
